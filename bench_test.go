@@ -658,54 +658,6 @@ func BenchmarkHardwareWalk(b *testing.B) {
 	}
 }
 
-// benchTranslate times repeated host translations of a page-granular
-// working set, with the software TLB serving hits (BenchmarkTranslateTLB)
-// or disabled so every translation is a full walk (BenchmarkTranslateWalk).
-// The pair is the BENCH_tlb.json microbenchmark in -bench form.
-func benchTranslate(b *testing.B, noTLB bool) {
-	hv, err := hyp.New(hyp.Config{NoTLB: noTLB})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := proxy.New(hv)
-	const pages = 64
-	ipas := make([]arch.IPA, 0, pages)
-	for i := 0; i < pages; i++ {
-		pfn, err := d.AllocPage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ipa := arch.IPA(pfn.Phys())
-		if ok, err := d.Access(0, ipa, true); err != nil || !ok {
-			b.Fatalf("pre-fault: ok=%v err=%v", ok, err)
-		}
-		// Split the demand-mapped block to page granularity so the walk
-		// leg measures a full 4-level walk.
-		if err := d.ShareHyp(0, pfn); err != nil {
-			b.Fatal(err)
-		}
-		if err := d.UnshareHyp(0, pfn); err != nil {
-			b.Fatal(err)
-		}
-		ipas = append(ipas, ipa)
-	}
-	acc := arch.Access{}
-	for _, ipa := range ipas {
-		if _, f := hv.TranslateHost(0, ipa, acc); f != nil {
-			b.Fatal(f)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, f := hv.TranslateHost(0, ipas[i%pages], acc); f != nil {
-			b.Fatal(f)
-		}
-	}
-}
-
-func BenchmarkTranslateTLB(b *testing.B)  { benchTranslate(b, false) }
-func BenchmarkTranslateWalk(b *testing.B) { benchTranslate(b, true) }
-
 func BenchmarkPgtableMapUnmap(b *testing.B) {
 	m := arch.NewMemory(arch.DefaultLayout())
 	pool := mem.NewPool("t", arch.PFN(0x90000), 4096)

@@ -6,9 +6,9 @@ package bbmcheck_bad
 
 import "ghostspec/internal/arch"
 
-// remapNoTLBI breaks an entry and re-makes it valid with no
+// remapWithoutTLBI breaks an entry and re-makes it valid with no
 // invalidation between the stores (rule B1).
-func remapNoTLBI(m *arch.Memory, table arch.PhysAddr, pa arch.PhysAddr) {
+func remapWithoutTLBI(m *arch.Memory, table arch.PhysAddr, pa arch.PhysAddr) {
 	m.WritePTE(table, 3, 0)
 	m.WritePTE(table, 3, arch.MakeLeaf(arch.LastLevel, pa, arch.Attrs{})) // want:bbmcheck
 }

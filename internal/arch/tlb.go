@@ -1,7 +1,9 @@
 package arch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,49 +13,37 @@ import (
 )
 
 // Span names for the TLB maintenance paths: fills (miss-path walks
-// publishing a translation) and invalidation sweeps. Both run under
-// shard mutexes, so on a timeline they explain where translation time
-// goes when the cache churns.
+// caching a translation) and invalidation sweeps. On a timeline they
+// explain where translation time goes when the cache churns.
 var (
 	spanTLBFill       = trace.NewName("tlb.fill")
 	spanTLBInvalidate = trace.NewName("tlb.invalidate")
 )
 
-// This file is the software TLB: a model of the hardware translation
-// caches whose maintenance pKVM is responsible for. Successful walks
-// are cached keyed by (root, stage, VMID, IA page) and served without
-// re-walking — deliberately including after the tables changed, because
-// that is what hardware does: a translation stays live until a TLBI
-// covering it is issued. Forgetting that TLBI (the break-before-make
-// discipline) is the canonical hypervisor bug class, and modelling the
-// cache faithfully is what lets the ghost oracle observe it
+// This file is the TLB model: the hardware translation caches whose
+// maintenance pKVM is responsible for. Successful walks are cached
+// keyed by (VMID, root, stage, IA page) and served without re-walking
+// — deliberately including after the tables changed, because that is
+// what hardware does: a translation stays live until a TLBI covering
+// it is issued. Forgetting that TLBI (the break-before-make
+// discipline) is the canonical hypervisor bug class, and caching walks
+// the way hardware does is what lets the ghost oracle observe it
 // (Recorder.FailStaleTLB) instead of the bug staying invisible in a
 // walk-always model.
 //
-// Entries are immutable once published: each slot is an atomic pointer,
-// so the translation hot path (Walk hits) is lock-free, while the shard
-// mutex serializes the writers — fills, invalidations and coherence
-// checks. A translation racing an invalidation may still be served from
-// the pointer it loaded first; the architecture permits exactly that
-// (the TLBI has not completed), and once the invalidation's store is
-// done no later lookup can reach the entry.
+// The model is a plain map under one mutex. Walk holds the mutex
+// across lookup, miss walk and fill, and every invalidation sweeps
+// under it, so a TLBI either removes a fill or runs after it: no entry
+// that predates a TLBI survives it, and stale entries exist if and
+// only if a required TLBI was never issued. The mutex is a leaf: no
+// preemption point fires while it is held (the invalidations fire
+// theirs before taking it), so a parked vCPU never holds it.
 //
-// What keeps the cache itself sound — as opposed to the system under
-// test — is the per-frame write-generation protocol against
-// arch.Memory (the memory model's counters, bumped after every store):
-//
-//   - The miss path records, for every table page it reads, the page's
-//     generation loaded BEFORE the descriptor read.
-//   - The fill publishes under the shard mutex only after re-checking
-//     every recorded generation.
-//   - Invalidations scan under the same shard mutexes.
-//
-// A mutator orders its writes as store < generation bump < TLBI. If a
-// fill's publish precedes the TLBI's shard scan, the scan removes the
-// entry; if the scan precedes the publish, the mutex ordering makes the
-// generation bump visible to the revalidation, which aborts the fill.
-// Either way no entry that predates a TLBI survives it — stale entries
-// exist if and only if a required TLBI was never issued.
+// Each entry also records, for every table page its walk read, the
+// page's write generation (arch.Memory's per-frame counter, bumped
+// after every store). An unchanged generation proves the page still
+// reads as the walk saw it; CheckCoherence and InvalidateStale use
+// that to skip re-walking entries whose tables never moved.
 
 // VMID tags a translation regime: which (virtual) machine's tables a
 // cached walk came from. Mirrors the VMID field hardware tags stage 2
@@ -61,42 +51,25 @@ var (
 // reserved sentinel value so its entries are tagged too.
 type VMID uint16
 
-const (
-	tlbShardBits  = 3
-	tlbShardCount = 1 << tlbShardBits // shards, each with its own writer mutex
-	tlbShardSlots = 128               // direct-mapped sets per shard
-	tlbMaxDeps    = LastLevel - StartLevel + 1
-)
+const tlbMaxDeps = LastLevel - StartLevel + 1
 
-// TLB traffic. Hits and misses count hardware-path translations
-// (TLB.Walk); lookup hits are the verified software-path hits serving
-// pgtable.GetLeaf; fill aborts are walks whose tables changed before
-// the result could be published (the revalidation protocol above).
+// TLB traffic: hits and misses of hardware-path translations
+// (TLB.Walk), and invalidation sweeps.
 var (
 	telTLBHits        = telemetry.NewCounter("tlb_hits_total")
 	telTLBMisses      = telemetry.NewCounter("tlb_misses_total")
 	telTLBInvalidates = telemetry.NewCounter("tlb_invalidations_total")
-	telTLBLookupHits  = telemetry.NewCounter("tlb_lookup_hits_total")
-	telTLBFillAborts  = telemetry.NewCounter("tlb_fill_aborts_total")
 )
 
+// tlbKey identifies a cached walk within one VMID's entries.
 type tlbKey struct {
 	root  PhysAddr
-	page  uint64 // ia >> PageShift
-	vmid  VMID
 	stage Stage
+	page  uint64 // ia >> PageShift
 }
 
-func (k tlbKey) hash() uint64 {
-	h := uint64(k.root)>>PageShift ^ k.page ^ uint64(k.vmid)<<40 ^ uint64(k.stage)<<56
-	// SplitMix64 finalizer: decorrelates the low bits used for shard
-	// selection from the structured key fields.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+func (a tlbKey) compare(b tlbKey) int {
+	return cmp.Or(cmp.Compare(a.root, b.root), cmp.Compare(a.stage, b.stage), cmp.Compare(a.page, b.page))
 }
 
 // tlbDep is one table page the cached walk read: the page's generation
@@ -107,10 +80,8 @@ type tlbDep struct {
 	gen uint64
 }
 
-// tlbEntry is one cached translation. Immutable after publication:
-// updates replace the whole entry through the slot's atomic pointer.
+// tlbEntry is one cached translation.
 type tlbEntry struct {
-	key   tlbKey
 	pte   PTE // the terminal valid leaf descriptor
 	level int
 	cpu   int // CPU whose walk filled the entry (diagnostics)
@@ -130,34 +101,16 @@ func (e *tlbEntry) depsFresh() bool {
 	return true
 }
 
-type tlbShard struct {
-	mu    sync.Mutex // serializes writers; the read path is lock-free
-	live  int        // occupied slots, maintained under mu: sweeps skip empty shards
-	slots [tlbShardSlots]atomic.Pointer[tlbEntry]
-}
-
-// set publishes e (or nil) into slot i, keeping the shard's live count.
-// Caller holds sh.mu.
-func (sh *tlbShard) set(i int, e *tlbEntry) {
-	old := sh.slots[i].Load()
-	switch {
-	case old == nil && e != nil:
-		sh.live++
-	case old != nil && e == nil:
-		sh.live--
-	}
-	sh.slots[i].Store(e)
-}
-
-// TLB is the software translation cache. One instance serves all CPUs
-// of a system: entries record their filling CPU, and every modelled
+// TLB is the translation cache model. One instance serves all CPUs of
+// a system: entries record their filling CPU, and every modelled
 // invalidation is the broadcast (inner-shareable) form, which is the
-// only kind this hypervisor issues — so a single coherence domain with
-// hash-distributed shard mutexes models per-CPU TLBs plus broadcast
-// maintenance without a per-CPU search on the software lookup path.
+// only kind this hypervisor issues — so a single coherence domain
+// models per-CPU TLBs plus broadcast maintenance.
 type TLB struct {
-	mem    *Memory
-	shards [tlbShardCount]tlbShard
+	mem *Memory
+
+	mu      sync.Mutex
+	entries map[VMID]map[tlbKey]tlbEntry // guarded by mu
 
 	// tracer, when attached, receives fill and invalidation spans on
 	// lane; see SetTracer.
@@ -165,122 +118,73 @@ type TLB struct {
 	lane   int
 }
 
-// NewTLB builds a TLB over the given memory. A nil *TLB is a valid
-// disabled cache: lookups miss and maintenance is a no-op, so callers
-// thread one pointer regardless of configuration.
+// NewTLB builds an empty TLB over the given memory.
 func NewTLB(m *Memory) *TLB {
-	return &TLB{mem: m}
+	return &TLB{mem: m, entries: make(map[VMID]map[tlbKey]tlbEntry)}
 }
 
 // SetTracer attaches a span tracer covering fills and invalidations.
-// Install once at boot; a nil receiver or tracer stays untraced.
+// Install once at boot; a nil tracer stays untraced.
 func (t *TLB) SetTracer(tr *trace.Tracer, lane int) {
-	if t == nil {
-		return
-	}
 	t.tracer, t.lane = tr, lane
-}
-
-func (t *TLB) locate(key tlbKey) (*tlbShard, int) {
-	// The set index comes straight from the page bits, so consecutive
-	// pages occupy consecutive sets — hardware TLBs are VA-indexed the
-	// same way, and it keeps a small working set free of conflict
-	// evictions. The shard (= writer lock) choice takes the mixed hash
-	// so the other key fields still spread contention.
-	return &t.shards[key.hash()&(tlbShardCount-1)], int(key.page % tlbShardSlots)
 }
 
 // Walk is the hardware translation path: consult the cache, walk and
 // fill on a miss. A hit is served without looking at the tables — the
-// architectural behaviour that makes a skipped TLBI observable. The
-// fill protocol above guarantees hits are stale only when maintenance
-// was actually missing, never because of a fill/invalidate race.
+// architectural behaviour that makes a skipped TLBI observable.
 func (t *TLB) Walk(cpu int, root PhysAddr, stage Stage, vmid VMID, ia uint64, acc Access) (WalkResult, *Fault) {
-	if t == nil {
-		panic("arch: Walk on a nil TLB (disabled systems walk directly)")
-	}
 	if !CanonicalIA(ia) {
 		return WalkResult{}, &Fault{Kind: FaultAddressSize, Level: StartLevel, Addr: ia}
 	}
-	key := tlbKey{root: root, page: ia >> PageShift, vmid: vmid, stage: stage}
-	sh, slot := t.locate(key)
-	if e := sh.slots[slot].Load(); e != nil && e.key == key {
-		if !telemetry.Disabled() {
-			telTLBHits.Inc()
+	key := tlbKey{root: root, stage: stage, page: ia >> PageShift}
+	t.mu.Lock()
+	e, hit := t.entries[vmid][key]
+	if !hit {
+		e = t.walkLeafDeps(root, ia)
+		e.cpu = cpu
+		if k := e.pte.Kind(e.level); k == EKBlock || k == EKPage {
+			// Valid translations are cacheable even when this particular
+			// access kind permission-faults: the TLB caches the walk, the
+			// permission check happens per access.
+			sp := t.tracer.Begin(t.lane, spanTLBFill)
+			m := t.entries[vmid]
+			if m == nil {
+				m = make(map[tlbKey]tlbEntry)
+				t.entries[vmid] = m
+			}
+			m[key] = e
+			sp.End()
 		}
-		return leafResult(e.pte, e.level, ia, acc)
 	}
+	t.mu.Unlock()
 	if !telemetry.Disabled() {
-		telTLBMisses.Inc()
+		if hit {
+			telTLBHits.Inc()
+		} else {
+			telTLBMisses.Inc()
+		}
 	}
-
-	pte, level, deps, ndeps := t.walkLeafDeps(root, ia)
-	if k := pte.Kind(level); k == EKBlock || k == EKPage {
-		// Valid translations are cacheable even when this particular
-		// access kind permission-faults: the TLB caches the walk, the
-		// permission check happens per access.
-		t.fill(cpu, key, sh, slot, pte, level, deps, ndeps)
-	}
-	return leafResult(pte, level, ia, acc)
+	return leafResult(e.pte, e.level, ia, acc)
 }
 
 // walkLeafDeps is WalkLeaf with dependency recording: each table
 // page's generation is loaded before its descriptor so an unchanged
 // generation later proves the read is still current.
-func (t *TLB) walkLeafDeps(root PhysAddr, ia uint64) (PTE, int, [tlbMaxDeps]tlbDep, int) {
-	var deps [tlbMaxDeps]tlbDep
+func (t *TLB) walkLeafDeps(root PhysAddr, ia uint64) tlbEntry {
+	var e tlbEntry
 	table := root
 	for level := StartLevel; level <= LastLevel; level++ {
 		ref := t.mem.FrameGenRef(table)
-		deps[level-StartLevel] = tlbDep{ref: ref, gen: ref.Load()}
+		e.deps[e.ndeps] = tlbDep{ref: ref, gen: ref.Load()}
+		e.ndeps++
 		pte := t.mem.ReadPTE(table, IndexAt(ia, level))
 		if pte.Kind(level) != EKTable {
-			return pte, level, deps, level - StartLevel + 1
+			e.pte, e.level = pte, level
+			return e
 		}
 		table = pte.TableAddr()
 	}
 	panic("arch: walk ran past the last level")
-}
-
-func (t *TLB) fill(cpu int, key tlbKey, sh *tlbShard, slot int, pte PTE, level int, deps [tlbMaxDeps]tlbDep, ndeps int) {
-	sp := t.tracer.Begin(t.lane, spanTLBFill)
-	defer sp.End()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := 0; i < ndeps; i++ {
-		if deps[i].ref.Load() != deps[i].gen {
-			// A table page this walk read was rewritten since: the result
-			// may predate a TLBI that already scanned this shard, so
-			// publishing it could resurrect an invalidated translation.
-			if !telemetry.Disabled() {
-				telTLBFillAborts.Inc()
-			}
-			return
-		}
-	}
-	sh.set(slot, &tlbEntry{key: key, pte: pte, level: level, cpu: cpu, deps: deps, ndeps: ndeps})
-}
-
-// LookupLeaf is the software lookup path serving pgtable.GetLeaf: the
-// hypervisor reads its own tables with ordinary loads, not through the
-// hardware TLB, so unlike Walk a cached entry is only served after
-// revalidating its dependency generations — a software read must never
-// observe a stale descriptor, even when a TLBI was (buggily) skipped.
-// Misses do not fill; entries come from hardware walks.
-func (t *TLB) LookupLeaf(root PhysAddr, stage Stage, vmid VMID, ia uint64) (PTE, int, bool) {
-	if t == nil {
-		return 0, 0, false
-	}
-	key := tlbKey{root: root, page: ia >> PageShift, vmid: vmid, stage: stage}
-	sh, slot := t.locate(key)
-	e := sh.slots[slot].Load()
-	if e == nil || e.key != key || !e.depsFresh() {
-		return 0, 0, false
-	}
-	if !telemetry.Disabled() {
-		telTLBLookupHits.Inc()
-	}
-	return e.pte, e.level, true
 }
 
 // InvalidateRange drops every cached translation tagged vmid whose
@@ -288,25 +192,18 @@ func (t *TLB) LookupLeaf(root PhysAddr, stage Stage, vmid VMID, ia uint64) (PTE,
 // VAE2IS by-address forms. An entry cached from a block leaf matches
 // any address the block covers, not just the page that filled it.
 func (t *TLB) InvalidateRange(vmid VMID, ia, size uint64) {
-	// The TLBI preemption point fires before the nil check: the
-	// invalidation is architecturally issued even when the software TLB
-	// is absent, and a schedule's park at "the TLBI of this mutation"
-	// must not depend on the NoTLB ablation. Fired here (not at every
-	// emitting call site) so the table point resolved is the caller's.
+	// Fired here (not at every emitting call site) so the table point
+	// resolved is the caller's.
 	preempt.FireCaller(preempt.KindTLBI)
-	if t == nil {
-		return
-	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
 	end := ia + size
-	t.sweep(func(e *tlbEntry) bool {
-		if e.key.vmid != vmid {
-			return false
+	t.invalidate(func() {
+		m := t.entries[vmid]
+		for k, e := range m {
+			base := (k.page << PageShift) &^ (LevelSize(e.level) - 1)
+			if base < end && ia < base+LevelSize(e.level) {
+				delete(m, k)
+			}
 		}
-		base := (e.key.page << PageShift) &^ (LevelSize(e.level) - 1)
-		return base < end && ia < base+LevelSize(e.level)
 	})
 }
 
@@ -320,25 +217,13 @@ func (t *TLB) InvalidateIPA(vmid VMID, ia uint64) {
 // TLBI VMALLS12E1IS, issued when a VM's stage 2 is torn down.
 func (t *TLB) InvalidateVMID(vmid VMID) {
 	preempt.FireCaller(preempt.KindTLBI)
-	if t == nil {
-		return
-	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
-	t.sweep(func(e *tlbEntry) bool { return e.key.vmid == vmid })
+	t.invalidate(func() { delete(t.entries, vmid) })
 }
 
 // InvalidateAll drops everything — TLBI ALLE1IS.
 func (t *TLB) InvalidateAll() {
 	preempt.FireCaller(preempt.KindTLBI)
-	if t == nil {
-		return
-	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
-	t.sweep(func(*tlbEntry) bool { return true })
+	t.invalidate(func() { clear(t.entries) })
 }
 
 // InvalidateStale drops every cached translation whose recorded table
@@ -346,62 +231,47 @@ func (t *TLB) InvalidateAll() {
 // the generation of each frame it rewrites, so this one sweep is the
 // whole TLB story of a restore: entries over restored table pages
 // vanish, entries whose dependencies never moved are provably still
-// coherent and stay warm across executions. (The plain Walk hit path
-// does not check dependencies — architecturally a hit is a hit — so
-// stale entries must be swept here rather than left to age out, or the
-// next execution would both translate through ghosts of the previous
-// one and trip CheckCoherence's missing-TLBI report.)
+// coherent and stay warm across executions. (The Walk hit path does
+// not check dependencies — architecturally a hit is a hit — so stale
+// entries must be swept here rather than left to age out, or the next
+// execution would both translate through ghosts of the previous one
+// and trip CheckCoherence's missing-TLBI report.)
 func (t *TLB) InvalidateStale() {
 	preempt.FireCaller(preempt.KindTLBI)
-	if t == nil {
-		return
-	}
-	if !telemetry.Disabled() {
-		telTLBInvalidates.Inc()
-	}
-	t.sweep(func(e *tlbEntry) bool { return !e.depsFresh() })
-}
-
-func (t *TLB) sweep(drop func(*tlbEntry) bool) {
-	sp := t.tracer.Begin(t.lane, spanTLBInvalidate)
-	defer sp.End()
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		if sh.live > 0 {
-			for i := range sh.slots {
-				if e := sh.slots[i].Load(); e != nil && drop(e) {
-					sh.set(i, nil)
+	t.invalidate(func() {
+		for _, m := range t.entries {
+			for k, e := range m {
+				if !e.depsFresh() {
+					delete(m, k)
 				}
 			}
 		}
-		sh.mu.Unlock()
+	})
+}
+
+// invalidate runs one maintenance sweep under the mutex. Callers fire
+// their TLBI preemption point first: a vCPU parked there must not hold
+// the mutex.
+func (t *TLB) invalidate(sweep func()) {
+	if !telemetry.Disabled() {
+		telTLBInvalidates.Inc()
 	}
+	sp := t.tracer.Begin(t.lane, spanTLBInvalidate)
+	t.mu.Lock()
+	sweep()
+	t.mu.Unlock()
+	sp.End()
 }
 
 // Len returns the number of live entries (testing and diagnostics).
 func (t *TLB) Len() int {
-	if t == nil {
-		return 0
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
-	t.sweepRead(func(*tlbEntry) { n++ })
-	return n
-}
-
-func (t *TLB) sweepRead(visit func(*tlbEntry)) {
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		if sh.live > 0 {
-			for i := range sh.slots {
-				if e := sh.slots[i].Load(); e != nil {
-					visit(e)
-				}
-			}
-		}
-		sh.mu.Unlock()
+	for _, m := range t.entries {
+		n += len(m)
 	}
+	return n
 }
 
 // CheckCoherence re-walks every live entry tagged vmid against the
@@ -411,7 +281,8 @@ func (t *TLB) sweepRead(visit func(*tlbEntry)) {
 // unchanged are provably coherent and skipped without re-walking; a
 // re-walk that still yields the same translation (possibly through a
 // split, at a different level) refreshes the entry in place. Stale
-// entries are reported once and dropped.
+// entries are reported once, in (root, stage, page) order, and
+// dropped.
 //
 // The caller must hold the lock of the component owning vmid's tables
 // so they are quiescent during the re-walks; the ghost oracle runs
@@ -420,47 +291,40 @@ func (t *TLB) sweepRead(visit func(*tlbEntry)) {
 //
 //ghost:requires lock=dynamic
 func (t *TLB) CheckCoherence(vmid VMID) []string {
-	if t == nil {
-		return nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m := t.entries[vmid]
+	var moved []tlbKey
+	for k, e := range m {
+		if !e.depsFresh() {
+			moved = append(moved, k)
+		}
 	}
+	slices.SortFunc(moved, tlbKey.compare)
+
 	var out []string
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		if sh.live == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		for i := range sh.slots {
-			e := sh.slots[i].Load()
-			if e == nil || e.key.vmid != vmid {
+	for _, k := range moved {
+		e := m[k]
+		ia := k.page << PageShift
+		fresh := t.walkLeafDeps(k.root, ia)
+		cachedOA := e.pte.OutputAddr(e.level) + PhysAddr(ia&(LevelSize(e.level)-1))
+		if kind := fresh.pte.Kind(fresh.level); kind == EKBlock || kind == EKPage {
+			freshOA := fresh.pte.OutputAddr(fresh.level) + PhysAddr(ia&(LevelSize(fresh.level)-1))
+			if freshOA == cachedOA && fresh.pte.Attrs() == e.pte.Attrs() {
+				fresh.cpu = e.cpu
+				m[k] = fresh
 				continue
 			}
-			if e.depsFresh() {
-				continue
-			}
-			ia := e.key.page << PageShift
-			pte, level, deps, ndeps := t.walkLeafDeps(e.key.root, ia)
-			cachedOA := e.pte.OutputAddr(e.level) + PhysAddr(ia&(LevelSize(e.level)-1))
-			if k := pte.Kind(level); k == EKBlock || k == EKPage {
-				freshOA := pte.OutputAddr(level) + PhysAddr(ia&(LevelSize(level)-1))
-				if freshOA == cachedOA && pte.Attrs() == e.pte.Attrs() {
-					sh.set(i, &tlbEntry{
-						key: e.key, pte: pte, level: level, cpu: e.cpu, deps: deps, ndeps: ndeps})
-					continue
-				}
-				out = append(out, fmt.Sprintf(
-					"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but the tables now give pa=%#x [%v] (level %d) — a required TLBI was not issued",
-					vmid, ia, uint64(cachedOA), e.pte.Attrs(), e.level, e.cpu,
-					uint64(freshOA), pte.Attrs(), level))
-			} else {
-				out = append(out, fmt.Sprintf(
-					"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but a fresh walk finds a %v entry — a required TLBI was not issued",
-					vmid, ia, uint64(cachedOA), e.pte.Attrs(), e.level, e.cpu, k))
-			}
-			sh.set(i, nil)
+			out = append(out, fmt.Sprintf(
+				"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but the tables now give pa=%#x [%v] (level %d) — a required TLBI was not issued",
+				vmid, ia, uint64(cachedOA), e.pte.Attrs(), e.level, e.cpu,
+				uint64(freshOA), fresh.pte.Attrs(), fresh.level))
+		} else {
+			out = append(out, fmt.Sprintf(
+				"vmid %d ia %#x: TLB holds pa=%#x [%v] (level %d, filled by cpu %d) but a fresh walk finds a %v entry — a required TLBI was not issued",
+				vmid, ia, uint64(cachedOA), e.pte.Attrs(), e.level, e.cpu, kind))
 		}
-		sh.mu.Unlock()
+		delete(m, k)
 	}
 	return out
 }

@@ -1,7 +1,11 @@
 package arch
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -42,34 +46,6 @@ func TestTLBHitServesStaleTranslation(t *testing.T) {
 	res, f = tlbWalk(tlb, root, 1, 0x0)
 	if f != nil || res.OutputAddr != 0x4000_5000 {
 		t.Errorf("post-TLBI walk: %#x, fault %v", uint64(res.OutputAddr), f)
-	}
-}
-
-func TestTLBLookupLeafRevalidates(t *testing.T) {
-	m := NewMemory(DefaultLayout())
-	root := buildTestTable(m)
-	tlb := NewTLB(m)
-
-	if _, f := tlbWalk(tlb, root, 1, 0x1000); f != nil {
-		t.Fatalf("walk faulted: %v", f)
-	}
-	if pte, level, ok := tlb.LookupLeaf(root, Stage2, 1, 0x1000); !ok || level != 3 || pte.OutputAddr(3) != 0x4000_1000 {
-		t.Fatalf("fresh LookupLeaf = %#x level %d ok %v", uint64(pte.OutputAddr(3)), level, ok)
-	}
-	// Any store to a dependency page makes the software path refuse the
-	// entry, TLBI or not: the hypervisor reads its tables with ordinary
-	// loads and must never see a stale descriptor.
-	l3 := PhysAddr(0x9000_3000)
-	m.WritePTE(l3, 1, MakeLeaf(3, 0x4000_6000, Attrs{Perms: PermRW, Mem: MemNormal}))
-	if _, _, ok := tlb.LookupLeaf(root, Stage2, 1, 0x1000); ok {
-		t.Error("LookupLeaf served a stale entry after a table store")
-	}
-	// Misses (wrong vmid, uncached page) return false too.
-	if _, _, ok := tlb.LookupLeaf(root, Stage2, 2, 0x1000); ok {
-		t.Error("LookupLeaf hit across VMIDs")
-	}
-	if _, _, ok := tlb.LookupLeaf(root, Stage2, 1, 0x5000); ok {
-		t.Error("LookupLeaf hit an uncached page")
 	}
 }
 
@@ -120,8 +96,8 @@ func TestTLBInvalidateVMIDAndAll(t *testing.T) {
 	if tlb.Len() != 2 {
 		t.Errorf("Len = %d after InvalidateVMID(1), want 2", tlb.Len())
 	}
-	if _, _, ok := tlb.LookupLeaf(root, Stage2, 2, 0x0); !ok {
-		t.Error("vmid 2 entry lost to vmid 1's TLBI")
+	if len(tlb.entries[2]) != 2 {
+		t.Error("vmid 2 entries lost to vmid 1's TLBI")
 	}
 	tlb.InvalidateAll()
 	if tlb.Len() != 0 {
@@ -156,25 +132,6 @@ func TestTLBPermissionFaultStillCaches(t *testing.T) {
 	}
 	if tlb.Len() != 0 {
 		t.Errorf("Len = %d, invalid walk was cached", tlb.Len())
-	}
-}
-
-func TestTLBFillAbortsOnConcurrentWrite(t *testing.T) {
-	m := NewMemory(DefaultLayout())
-	root := buildTestTable(m)
-	tlb := NewTLB(m)
-
-	// Reproduce the fill-vs-mutate race deterministically with the
-	// in-package pieces: record the walk, mutate a dependency page (as a
-	// racing CPU would between walk and publish), then attempt the fill.
-	key := tlbKey{root: root, page: 0, vmid: 1, stage: Stage2}
-	sh, slot := tlb.locate(key)
-	pte, level, deps, ndeps := tlb.walkLeafDeps(root, 0x0)
-	l3 := PhysAddr(0x9000_3000)
-	m.WritePTE(l3, 0, MakeLeaf(3, 0x4000_7000, Attrs{Perms: PermRWX, Mem: MemNormal}))
-	tlb.fill(0, key, sh, slot, pte, level, deps, ndeps)
-	if tlb.Len() != 0 {
-		t.Errorf("Len = %d: fill published a result whose tables changed", tlb.Len())
 	}
 }
 
@@ -236,19 +193,110 @@ func TestTLBCheckCoherence(t *testing.T) {
 	}
 }
 
-func TestTLBNilIsDisabled(t *testing.T) {
-	var tlb *TLB
-	if _, _, ok := tlb.LookupLeaf(0x9000_0000, Stage2, 1, 0x0); ok {
-		t.Error("nil TLB reported a hit")
-	}
+func TestTLBEmptyIsNoop(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	tlb := NewTLB(m)
 	tlb.InvalidateIPA(1, 0x0)
 	tlb.InvalidateRange(1, 0x0, PageSize)
 	tlb.InvalidateVMID(1)
 	tlb.InvalidateAll()
+	tlb.InvalidateStale()
 	if tlb.Len() != 0 {
-		t.Error("nil TLB has entries")
+		t.Error("empty TLB has entries")
 	}
 	if stale := tlb.CheckCoherence(1); stale != nil {
-		t.Errorf("nil TLB reported stale entries: %v", stale)
+		t.Errorf("empty TLB reported stale entries: %v", stale)
+	}
+}
+
+func TestTLBCheckCoherenceOrder(t *testing.T) {
+	const pages = 8
+	l3 := PhysAddr(0x9000_3000)
+	attrs := Attrs{Perms: PermRW, Mem: MemNormal}
+	// stale fills pages 0..pages-1 plus the 2MB block, then remaps all
+	// of them without a TLBI and returns the coherence report.
+	stale := func() []string {
+		m := NewMemory(DefaultLayout())
+		root := buildTestTable(m)
+		tlb := NewTLB(m)
+		for i := 0; i < pages; i++ {
+			m.WritePTE(l3, i, MakeLeaf(3, PhysAddr(0x4000_0000+i*PageSize), attrs))
+		}
+		for ia := uint64(0); ia < pages*PageSize; ia += PageSize {
+			if _, f := tlbWalk(tlb, root, 1, ia); f != nil {
+				t.Fatalf("walk %#x faulted: %v", ia, f)
+			}
+		}
+		if _, f := tlbWalk(tlb, root, 1, 0x20_0000); f != nil {
+			t.Fatalf("block walk faulted: %v", f)
+		}
+		for i := 0; i < pages; i++ {
+			m.WritePTE(l3, i, MakeLeaf(3, PhysAddr(0x5000_0000+i*PageSize), attrs))
+		}
+		m.WritePTE(PhysAddr(0x9000_2000), 1, 0)
+		return tlb.CheckCoherence(1)
+	}
+	first := stale()
+	if len(first) != pages+1 {
+		t.Fatalf("got %d stale reports, want %d: %v", len(first), pages+1, first)
+	}
+	for i := 0; i < pages; i++ {
+		if want := fmt.Sprintf("vmid 1 ia %#x:", i*PageSize); !strings.HasPrefix(first[i], want) {
+			t.Errorf("report %d = %q, want prefix %q", i, first[i], want)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		if again := stale(); !slices.Equal(again, first) {
+			t.Fatalf("run %d reported a different order:\n%v\nwant\n%v", run, again, first)
+		}
+	}
+}
+
+// TestTLBConcurrentInvalidate races hardware walks of one IA against a
+// mutator that keeps switching its leaf between two frames. Every TLBI
+// must leave no earlier translation behind: the mutator's own walk
+// right after it sees the new frame, and the final coherence check
+// finds nothing stale. Run under -race it also checks the locking.
+func TestTLBConcurrentInvalidate(t *testing.T) {
+	m := NewMemory(DefaultLayout())
+	root := buildTestTable(m)
+	tlb := NewTLB(m)
+	l3 := PhysAddr(0x9000_3000)
+	frames := [2]PhysAddr{0x4000_0000, 0x4000_5000}
+	attrs := Attrs{Perms: PermRWX, Mem: MemNormal}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for cpu := 1; cpu <= 4; cpu++ {
+		wg.Add(1)
+		go func(cpu int) {
+			defer wg.Done()
+			for !stop.Load() {
+				res, f := tlb.Walk(cpu, root, Stage2, 1, 0x0, Access{})
+				if f != nil || (res.OutputAddr != frames[0] && res.OutputAddr != frames[1]) {
+					errs <- fmt.Errorf("cpu %d walk: %#x, fault %v", cpu, uint64(res.OutputAddr), f)
+					return
+				}
+			}
+		}(cpu)
+	}
+	for i := 1; i <= 2000; i++ {
+		want := frames[i%2]
+		m.WritePTE(l3, 0, MakeLeaf(3, want, attrs))
+		tlb.InvalidateIPA(1, 0x0)
+		if res, f := tlb.Walk(0, root, Stage2, 1, 0x0, Access{}); f != nil || res.OutputAddr != want {
+			t.Errorf("switch %d: walk after TLBI = %#x, fault %v, want %#x", i, uint64(res.OutputAddr), f, uint64(want))
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if stale := tlb.CheckCoherence(1); len(stale) != 0 {
+		t.Errorf("stale entries after the race: %v", stale)
 	}
 }

@@ -72,13 +72,9 @@ type Config struct {
 	// BigMemory boots the large-physical-map layout (boot-layout bug
 	// class); otherwise the default layout.
 	BigMemory bool
-	// NoTLB boots the systems without the software TLB (every
-	// translation is a full walk) — the before leg of the TLB
-	// benchmark, and an ablation for the stale-TLB checks.
-	NoTLB bool
 	// NoSnapshot boots a fresh system for every execution instead of
 	// rewinding a long-lived one — the before leg of the snapshot
-	// benchmark, mirroring NoTLB.
+	// benchmark.
 	NoSnapshot bool
 	// NrCPUs is the virtual-CPU count of every booted system (default
 	// 4, mirroring hyp.Config). It is also the vCPU count of the
@@ -482,7 +478,7 @@ func (e *Engine) Status() Status {
 // booting worker's lane.
 func (e *Engine) newSystem(w int) (*proxy.Driver, *ghost.Recorder, *coverage.Tracker, error) {
 	hcfg := hyp.Config{
-		Inj: faults.NewInjector(e.cfg.Bugs...), NoTLB: e.cfg.NoTLB,
+		Inj:    faults.NewInjector(e.cfg.Bugs...),
 		NrCPUs: e.cfg.NrCPUs,
 		Tracer: e.tracer, TraceLane: w,
 	}

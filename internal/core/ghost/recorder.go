@@ -430,10 +430,6 @@ func (r *Recorder) LockReleasing(cpu int, c hyp.Component) {
 //
 //ghost:requires lock=dynamic
 func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
-	tlb := r.hv.TLB()
-	if tlb == nil {
-		return
-	}
 	var vmid arch.VMID
 	switch c.Kind {
 	case hyp.CompHost:
@@ -445,7 +441,7 @@ func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
 	default:
 		return // the VM table owns no translations
 	}
-	if stale := tlb.CheckCoherence(vmid); len(stale) > 0 {
+	if stale := r.hv.TLB().CheckCoherence(vmid); len(stale) > 0 {
 		r.fail(Failure{Kind: FailStaleTLB, CPU: cpu, Call: r.cpus[cpu].call,
 			Detail: strings.Join(stale, "\n")})
 	}

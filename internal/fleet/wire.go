@@ -429,7 +429,8 @@ func (r *reader) varint() int64 {
 
 func (r *reader) blob() []byte {
 	n := r.uvarint()
-	if r.err != nil || r.pos+int(n) > len(r.data) {
+	// Compared unsigned: int(n) of a hostile length can wrap negative.
+	if r.err != nil || n > uint64(len(r.data)-r.pos) {
 		r.fail()
 		return nil
 	}

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ghostspec/internal/arch"
@@ -140,6 +142,66 @@ func TestFleetWireStrict(t *testing.T) {
 	if _, err := DecodeCorpusEntry(blob); err == nil {
 		t.Error("finding blob decoded as a corpus entry")
 	}
+	if _, err := DecodeCorpusEntry(hostileCorpusEntry()); err == nil {
+		t.Error("a blob length of 2^64-1 decoded without error")
+	}
+}
+
+// hostileCorpusEntry is a corpus entry whose trace blob claims 2^64-1
+// bytes — a length that wraps to -1 if converted to int unchecked.
+func hostileCorpusEntry() []byte {
+	b := append([]byte(nil), corpusMagic[:]...)
+	b = append(b, WireVersion)
+	b = binary.AppendUvarint(b, 0) // score
+	return binary.AppendUvarint(b, ^uint64(0))
+}
+
+// FuzzDecodeCorpusEntry feeds arbitrary bytes to the corpus-entry
+// decoder, which the coordinator runs on network input: it must never
+// panic, and whatever it accepts must survive re-encoding.
+func FuzzDecodeCorpusEntry(f *testing.F) {
+	f.Add(CorpusEntry{Score: 3.75, Trace: sampleTrace(0x81000, 0x11)}.Encode())
+	f.Add(CorpusEntry{Score: 1, Trace: &randtest.Trace{}}.Encode())
+	f.Add(sampleFinding().Encode())
+	f.Add(hostileCorpusEntry())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCorpusEntry(data)
+		if err != nil {
+			return
+		}
+		blob := c.Encode()
+		again, err := DecodeCorpusEntry(blob)
+		if err != nil {
+			t.Fatalf("re-encoded entry does not decode: %v", err)
+		}
+		// Compared as bytes: the score may be a NaN.
+		if !bytes.Equal(again.Encode(), blob) || !reflect.DeepEqual(again.Trace, c.Trace) {
+			t.Fatalf("round trip changed the entry: %+v -> %+v", c, again)
+		}
+	})
+}
+
+// FuzzDecodeFinding is FuzzDecodeCorpusEntry for the finding envelope.
+func FuzzDecodeFinding(f *testing.F) {
+	f.Add(sampleFinding().Encode())
+	nilSched := sampleFinding()
+	nilSched.Sched, nilSched.MinSched, nilSched.Min = nil, nil, nil
+	f.Add(nilSched.Encode())
+	f.Add(CorpusEntry{Score: 3.75, Trace: sampleTrace(0x81000, 0x11)}.Encode())
+	f.Add(hostileCorpusEntry())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fd, err := DecodeFinding(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeFinding(fd.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded finding does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, fd) {
+			t.Fatalf("round trip changed the finding: %+v -> %+v", fd, again)
+		}
+	})
 }
 
 // TestTraceHashCanonical pins the dedup normalization: the same op

@@ -24,7 +24,6 @@ func newTableFromDonation(hv *Hypervisor, vm *VM) (*pgtable.Table, error) {
 	// grow the registry without bound as VMs come and go.
 	pgt.SetOnTablePage(liveTableGauge(telGuestTablesLive))
 	pgt.SetTLBI(hv.guestTLBI(vm.VMID))
-	pgt.SetTLB(hv.tlb, vm.VMID)
 	pgt.SetTracer(hv.tracer, hv.traceLane)
 	return pgt, nil
 }

@@ -287,7 +287,6 @@ func (hv *Hypervisor) restoreState(st *sysState) {
 				arch.Stage2, nil, arch.LastLevel, vs.root)
 			pgt.SetOnTablePage(liveTableGauge(telGuestTablesLive))
 			pgt.SetTLBI(hv.guestTLBI(vm.VMID))
-			pgt.SetTLB(hv.tlb, vm.VMID)
 			pgt.SetTracer(hv.tracer, hv.traceLane)
 			vm.PGT = pgt
 		}

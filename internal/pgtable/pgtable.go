@@ -90,11 +90,6 @@ type Table struct {
 	// break-before-make sequence; see SetTLBI.
 	tlbi func(ia, size uint64)
 
-	// tlb, when set, is the system's software TLB, consulted by
-	// GetLeaf as a generation-verified walk cache; see SetTLB.
-	tlb     *arch.TLB
-	tlbVMID arch.VMID
-
 	// tracer, when attached, receives one span per top-level mutation
 	// walk (Map/Unmap/Annotate) on lane; see SetTracer.
 	tracer *trace.Tracer
@@ -137,17 +132,6 @@ func (t *Table) notifyTLBI(ia, size uint64) {
 	if t.tlbi != nil {
 		t.tlbi(ia, size)
 	}
-}
-
-// SetTLB attaches the system's software TLB so GetLeaf can serve
-// lookups from still-fresh cached walks under the component's VMID
-// tag. Unlike the hardware hit path, GetLeaf's hits are revalidated
-// against the per-frame write generations before use: the hypervisor
-// reads its own tables with ordinary loads, so a software lookup must
-// never observe a stale descriptor even when a TLBI was (buggily)
-// skipped.
-func (t *Table) SetTLB(tlb *arch.TLB, vmid arch.VMID) {
-	t.tlb, t.tlbVMID = tlb, vmid
 }
 
 // SetTracer attaches a span tracer covering the top-level mutation
@@ -332,10 +316,7 @@ func (t *Table) walkLevel(table arch.PhysAddr, level int, ia, end uint64, v *Vis
 //
 //ghost:requires lock=owner
 func (t *Table) GetLeaf(ia uint64) (arch.PTE, int) {
-	pte, level, ok := t.tlb.LookupLeaf(t.root, t.Stage, t.tlbVMID, ia)
-	if !ok {
-		pte, level = arch.WalkLeaf(t.Mem, t.root, ia)
-	}
+	pte, level := arch.WalkLeaf(t.Mem, t.root, ia)
 	if !telemetry.Disabled() {
 		telWalkDepth.Observe(uint64(level))
 	}

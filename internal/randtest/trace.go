@@ -223,7 +223,10 @@ func (tr *Trace) Subset(keep []int) *Trace {
 // later reference goes through that binding (identity for a full
 // replay, a remapping for shrunk traces). References whose defining op
 // was dropped by the shrinker pass through untranslated — the call
-// then simply exercises an error path.
+// then simply exercises an error path. The exception is OpFree, which
+// returns a frame to the host pool only if this replay's OpAlloc bound
+// it and no OpFree released it since: a free of anything else is
+// skipped.
 func Replay(d *proxy.Driver, tr *Trace) {
 	trc, lane := d.HV.Tracer()
 	sp := trc.Begin(lane, spanReplay)
@@ -241,12 +244,18 @@ func Replay(d *proxy.Driver, tr *Trace) {
 type replayEnv struct {
 	pfns    map[arch.PFN]arch.PFN
 	handles map[hyp.Handle]hyp.Handle
+	// held is the set of trace PFNs whose OpAlloc this replay bound
+	// and which no OpFree has released since. A shrunk trace may have
+	// lost an OpAlloc or kept a repeated OpFree; freeing only held
+	// frames keeps such candidates from double-freeing host pages.
+	held map[arch.PFN]bool
 }
 
 func newReplayEnv() *replayEnv {
 	return &replayEnv{
 		pfns:    make(map[arch.PFN]arch.PFN),
 		handles: make(map[hyp.Handle]hyp.Handle),
+		held:    make(map[arch.PFN]bool),
 	}
 }
 
@@ -271,9 +280,13 @@ func (e *replayEnv) apply(d *proxy.Driver, op Op) {
 	case OpAlloc:
 		if pfn, err := d.AllocPage(); err == nil {
 			e.pfns[op.PFN] = pfn
+			e.held[op.PFN] = true
 		}
 	case OpFree:
-		d.FreePage(e.xp(op.PFN))
+		if e.held[op.PFN] {
+			delete(e.held, op.PFN)
+			d.FreePage(e.xp(op.PFN))
+		}
 	case OpTouch:
 		d.Access(op.CPU, arch.IPA(e.xp(op.PFN).Phys()), op.Write)
 	case OpShare:

@@ -85,6 +85,39 @@ func TestReplayMatchesRecording(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsUnheldFrees replays the frees a shrunk trace can be
+// left with — one whose OpAlloc was dropped, and a repeated one — on
+// fresh boots. Neither may reach the host pool: freeing a frame the
+// replay does not hold would panic with a double free.
+func TestReplaySkipsUnheldFrees(t *testing.T) {
+	boot := func() *proxy.Driver {
+		hv, err := hyp.New(hyp.Config{})
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		return proxy.New(hv)
+	}
+	// X is the frame a fresh boot's first allocation hands out.
+	x, err := boot().AllocPage()
+	if err != nil {
+		t.Fatalf("alloc: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+	}{
+		{"free without alloc", []Op{{Kind: OpFree, PFN: x}}},
+		{"repeated free", []Op{{Kind: OpAlloc, PFN: x}, {Kind: OpFree, PFN: x}, {Kind: OpFree, PFN: x}}},
+	} {
+		d := boot()
+		want := d.HostPool.Allocated()
+		Replay(d, &Trace{Ops: tc.ops})
+		if got := d.HostPool.Allocated(); got != want {
+			t.Errorf("%s: %d host frames allocated after replay, want %d", tc.name, got, want)
+		}
+	}
+}
+
 // TestWorkerSeedDecorrelated checks the per-worker seed derivation
 // yields distinct, positive seeds across workers and campaign seeds.
 func TestWorkerSeedDecorrelated(t *testing.T) {

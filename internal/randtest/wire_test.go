@@ -3,6 +3,7 @@ package randtest
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ghostspec/internal/hyp"
@@ -101,4 +102,28 @@ func TestTraceWireStrict(t *testing.T) {
 	if _, err := DecodeTrace(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Error("trailing byte decoded without error")
 	}
+}
+
+// FuzzDecodeTrace feeds arbitrary bytes to the trace decoder: it must
+// never panic, and whatever it accepts must re-encode and decode to an
+// equal trace.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Add(EncodeTrace(wireSampleTrace()))
+	f.Add(EncodeTrace(nil))
+	huge := append([]byte(nil), traceMagic[:]...)
+	huge = append(huge, TraceWireVersion)
+	f.Add(appendUvarint(huge, ^uint64(0))) // op count 2^64-1
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeTrace(EncodeTrace(tr))
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\n%s\n->\n%s", tr, again)
+		}
+	})
 }

@@ -132,8 +132,7 @@ const DefaultDepth = 4096
 
 // Tracer records spans into per-lane rings. A nil *Tracer is a valid
 // disabled tracer: Begin/End/Emit are no-ops, so instrumented code
-// threads one pointer regardless of configuration (the *arch.TLB
-// convention).
+// threads one pointer regardless of configuration.
 type Tracer struct {
 	lanes []lane
 	base  time.Time
