@@ -1,8 +1,9 @@
 // Package preempt is the runtime half of ghostlint's preemption-point
 // extraction: a checked-in table (points_gen.go, regenerated with
 // `go run ./cmd/ghostlint -write-preempt` and drift-gated in CI) of
-// every lock acquire/release, TLBI emission, and page-table visitor
-// step in the module, plus a tiny registry for instrumenting them.
+// every lock acquire/release and TLBI emission in the module, plus the
+// per-system scheduling slot (Gate) the instrumented primitives report
+// their crossings through.
 //
 // This is the hook list ROADMAP item 1's deterministic multi-CPU
 // scheduler consumes: a schedule is a sequence of point IDs at which
@@ -11,16 +12,13 @@
 // schedule replays bit-identically as long as the source is unchanged
 // — and fails loudly, rather than silently diverging, when it is not.
 //
-// The registry is deliberately minimal: Points/ByID/ByKind for
-// enumeration, SetHook + Fire for instrumentation. Fire with no hook
-// installed is a few nanoseconds (one atomic load, one counter add),
-// so call sites can be instrumented unconditionally.
+// The package is deliberately minimal: Points/ByID/ByKind/Known for
+// enumeration, Gate for instrumentation. A crossing on a gate no
+// scheduler occupies is one atomic load, so call sites can be
+// instrumented unconditionally.
 package preempt
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Kind classifies a preemption point. The values mirror the analysis
 // package's Kind* strings (the generator writes these constants).
@@ -35,8 +33,6 @@ const (
 	// KindTLBI is a TLB-invalidation emission — one edge of a
 	// break-before-make window.
 	KindTLBI Kind = "tlbi"
-	// KindVisitorStep is one per-entry callback of a page-table walk.
-	KindVisitorStep Kind = "visitor-step"
 )
 
 // Point is one statically-extracted preemption point.
@@ -92,73 +88,4 @@ func ByID(id uint64) (Point, bool) {
 func ByKind(k Kind) []Point {
 	indexOnce.Do(buildIndex)
 	return byKind[k]
-}
-
-// Hook observes one preemption-point crossing. A deterministic
-// scheduler's hook blocks the calling virtual CPU here until the
-// schedule says it may proceed.
-type Hook func(p Point)
-
-var hook atomic.Pointer[Hook]
-
-// SetHook installs the global hook (nil uninstalls). Installation is
-// atomic with respect to concurrent Fire calls.
-func SetHook(h Hook) {
-	if h == nil {
-		hook.Store(nil)
-		return
-	}
-	hook.Store(&h)
-}
-
-// hits counts Fire calls per point, keyed by ID. Plain map with a
-// mutex: Fire on the no-hook fast path does not touch it unless
-// counting is enabled.
-var (
-	hitsMu      sync.Mutex
-	hitsEnabled atomic.Bool
-	hits        map[uint64]uint64
-)
-
-// EnableCounting turns on per-point hit counters (cleared on enable).
-func EnableCounting() {
-	hitsMu.Lock()
-	hits = make(map[uint64]uint64)
-	hitsMu.Unlock()
-	hitsEnabled.Store(true)
-}
-
-// DisableCounting turns counters off.
-func DisableCounting() { hitsEnabled.Store(false) }
-
-// Hits returns the number of Fire calls for a point since counting
-// was enabled.
-func Hits(id uint64) uint64 {
-	hitsMu.Lock()
-	defer hitsMu.Unlock()
-	return hits[id]
-}
-
-// Fire reports that execution reached the point with the given ID.
-// Unknown IDs are ignored (a stale caller against a regenerated table
-// must not crash the hypervisor). With no hook installed and counting
-// off this is two atomic loads.
-func Fire(id uint64) {
-	h := hook.Load()
-	counting := hitsEnabled.Load()
-	if h == nil && !counting {
-		return
-	}
-	p, ok := ByID(id)
-	if !ok {
-		return
-	}
-	if counting {
-		hitsMu.Lock()
-		hits[id]++
-		hitsMu.Unlock()
-	}
-	if h != nil {
-		(*h)(p)
-	}
 }

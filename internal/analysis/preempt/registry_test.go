@@ -35,7 +35,7 @@ func TestGeneratedTable(t *testing.T) {
 		}
 		seen[p.ID] = true
 		switch p.Kind {
-		case KindLockAcquire, KindLockRelease, KindTLBI, KindVisitorStep:
+		case KindLockAcquire, KindLockRelease, KindTLBI:
 		default:
 			t.Errorf("%s:%d has unknown kind %q", p.File, p.Line, p.Kind)
 		}
@@ -54,7 +54,7 @@ func TestByIDAndByKind(t *testing.T) {
 		t.Error("ByID found a point for an unknown ID")
 	}
 	total := 0
-	for _, k := range []Kind{KindLockAcquire, KindLockRelease, KindTLBI, KindVisitorStep} {
+	for _, k := range []Kind{KindLockAcquire, KindLockRelease, KindTLBI} {
 		byKind := ByKind(k)
 		for _, p := range byKind {
 			if p.Kind != k {
@@ -66,66 +66,74 @@ func TestByIDAndByKind(t *testing.T) {
 	if total != len(pts) {
 		t.Errorf("ByKind partitions cover %d points, table has %d", total, len(pts))
 	}
-	// The table must contain all four kinds: a missing kind means the
+	// The table must contain all three kinds: a missing kind means the
 	// extractor lost a whole class of interleaving sites.
-	for _, k := range []Kind{KindLockAcquire, KindLockRelease, KindTLBI, KindVisitorStep} {
+	for _, k := range []Kind{KindLockAcquire, KindLockRelease, KindTLBI} {
 		if len(ByKind(k)) == 0 {
 			t.Errorf("no %s points in the table", k)
 		}
 	}
 }
 
-func TestHookFire(t *testing.T) {
-	p := Points()[0]
+// fakeSched records what a Gate forwards to its scheduler.
+type fakeSched struct {
+	preempted []uint64
+	contended []string
+	released  []string
+}
 
-	// Fast path: no hook, no counting — must be safe.
-	Fire(p.ID)
-	Fire(0xdeadbeef)
+func (f *fakeSched) Preempt(p Point) { f.preempted = append(f.preempted, p.ID) }
 
-	var fired []uint64
-	SetHook(func(pt Point) { fired = append(fired, pt.ID) })
-	defer SetHook(nil)
-	Fire(p.ID)
-	Fire(0xdeadbeef) // unknown ID: ignored, hook not called
-	if len(fired) != 1 || fired[0] != p.ID {
-		t.Errorf("hook saw %v, want exactly [%#x]", fired, p.ID)
-	}
+func (f *fakeSched) LockContended(l Lock) bool {
+	f.contended = append(f.contended, l.Component())
+	return true
+}
 
-	SetHook(nil)
-	Fire(p.ID)
-	if len(fired) != 1 {
-		t.Error("hook fired after being cleared")
+func (f *fakeSched) LockReleased(l Lock) { f.released = append(f.released, l.Component()) }
+
+type namedLock string
+
+func (n namedLock) Component() string { return string(n) }
+
+func TestGatePassThrough(t *testing.T) {
+	// Neither a nil gate nor an empty one consults anything.
+	for _, g := range []*Gate{nil, {}} {
+		g.FireCaller(KindLockAcquire)
+		if g.LockContended(namedLock("l")) {
+			t.Errorf("gate %v with no scheduler claimed a contended lock", g)
+		}
+		g.LockReleased(namedLock("l"))
 	}
 }
 
-func TestCounting(t *testing.T) {
-	p, q := Points()[0], Points()[1]
-	EnableCounting()
-	defer DisableCounting()
-
-	Fire(p.ID)
-	Fire(p.ID)
-	Fire(q.ID)
-	Fire(0xdeadbeef)
-	if got := Hits(p.ID); got != 2 {
-		t.Errorf("Hits(p) = %d, want 2", got)
+func TestGateForwardsToAttachedScheduler(t *testing.T) {
+	var g Gate
+	f := &fakeSched{}
+	g.Attach(f)
+	if !g.LockContended(namedLock("a")) {
+		t.Error("LockContended not forwarded")
 	}
-	if got := Hits(q.ID); got != 1 {
-		t.Errorf("Hits(q) = %d, want 1", got)
-	}
-	if got := Hits(0xdeadbeef); got != 0 {
-		t.Errorf("unknown ID counted: %d", got)
+	g.LockReleased(namedLock("a"))
+	// No table point is on this test's stack: an off-table crossing
+	// must not preempt.
+	g.FireCaller(KindLockAcquire)
+	if len(f.preempted) != 0 || len(f.contended) != 1 || len(f.released) != 1 {
+		t.Errorf("forwarded preempt=%v contended=%v released=%v", f.preempted, f.contended, f.released)
 	}
 
-	DisableCounting()
-	Fire(p.ID)
-	if got := Hits(p.ID); got != 2 {
-		t.Errorf("counting survived DisableCounting: Hits(p) = %d", got)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Attach on an occupied gate did not panic")
+			}
+		}()
+		g.Attach(&fakeSched{})
+	}()
 
-	// Re-enabling clears the counters.
-	EnableCounting()
-	if got := Hits(p.ID); got != 0 {
-		t.Errorf("EnableCounting did not clear: Hits(p) = %d", got)
+	g.Detach()
+	if g.LockContended(namedLock("a")) || len(f.contended) != 1 {
+		t.Error("detached gate still forwards")
 	}
+	g.Attach(&fakeSched{}) // an emptied gate takes a new scheduler
+	g.Detach()
 }

@@ -15,13 +15,14 @@ import (
 // program points where interleaving matters. Those are exactly the
 // events the other analyzers already model — lock acquire/release
 // sites (where the ghost oracle records abstractions and where the
-// rank discipline serializes), TLBI emissions (the edges of every
-// break-before-make window), and page-table visitor steps (the
-// per-entry granularity at which a walk can observe a racing
-// mutation). ExtractPreemptPoints walks the loaded universe and
-// returns that list with stable content-addressed IDs; cmd/ghostlint
-// -write-preempt renders it into internal/analysis/preempt (a Go
-// table plus JSON), and -check-preempt gates drift in CI.
+// rank discipline serializes) and TLBI emissions (the edges of every
+// break-before-make window). Those are the only places a page-table
+// write becomes observable to another CPU: a walk runs under its
+// table's owner lock, so no point inside it can expose a state the
+// acquire point does not. ExtractPreemptPoints walks the loaded
+// universe and returns that list with stable content-addressed IDs;
+// cmd/ghostlint -write-preempt renders it into internal/analysis/preempt
+// (a Go table plus JSON), and -check-preempt gates drift in CI.
 
 // Preemption-point kinds. These mirror (and must stay in sync with)
 // the preempt.Kind* constants of the generated package.
@@ -29,7 +30,6 @@ const (
 	KindLockAcquire = "lock-acquire"
 	KindLockRelease = "lock-release"
 	KindTLBI        = "tlbi"
-	KindVisitorStep = "visitor-step"
 )
 
 // PreemptPoint is one statically-extracted scheduling point.
@@ -127,21 +127,7 @@ func classifyPoint(pkg *Package, call *ast.CallExpr, isArch bool) (kind, comp st
 	if !isArch && isTLBIEmission(pkg, call) {
 		return KindTLBI, "", true
 	}
-	if isVisitorStep(pkg, call) {
-		return KindVisitorStep, "", true
-	}
 	return "", "", false
-}
-
-// isVisitorStep matches v.Fn(ctx) where v is a pgtable.Visitor — the
-// per-entry callback invocation of the generic walk.
-func isVisitorStep(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Fn" {
-		return false
-	}
-	t := exprType(pkg, sel.X)
-	return t != nil && isNamed(t, "internal/pgtable", "Visitor")
 }
 
 func (u *Universe) pointAt(modRoot, kind, comp, fname string, n ast.Node) PreemptPoint {
@@ -167,7 +153,6 @@ var kindConst = map[string]string{
 	KindLockAcquire: "KindLockAcquire",
 	KindLockRelease: "KindLockRelease",
 	KindTLBI:        "KindTLBI",
-	KindVisitorStep: "KindVisitorStep",
 }
 
 // RenderPreemptGo renders the generated half of the preempt package.
@@ -181,8 +166,8 @@ func RenderPreemptGo(pts []PreemptPoint) []byte {
 	b.WriteString("package preempt\n")
 	b.WriteString("\n")
 	b.WriteString("// generatedPoints is the statically-extracted preemption-point\n")
-	b.WriteString("// table: every lock acquire/release, TLBI emission, and pgtable\n")
-	b.WriteString("// visitor step in the module. Regenerate with\n")
+	b.WriteString("// table: every lock acquire/release and TLBI emission in the\n")
+	b.WriteString("// module. Regenerate with\n")
 	b.WriteString("//\n")
 	b.WriteString("//\tgo run ./cmd/ghostlint -write-preempt\n")
 	b.WriteString("var generatedPoints = []Point{\n")

@@ -116,6 +116,9 @@ type TLB struct {
 	// lane; see SetTracer.
 	tracer *trace.Tracer
 	lane   int
+	// gate is the owning system's scheduling slot; every invalidation
+	// is a TLBI preemption point crossed through it. See SetGate.
+	gate *preempt.Gate
 }
 
 // NewTLB builds an empty TLB over the given memory.
@@ -128,6 +131,10 @@ func NewTLB(m *Memory) *TLB {
 func (t *TLB) SetTracer(tr *trace.Tracer, lane int) {
 	t.tracer, t.lane = tr, lane
 }
+
+// SetGate attaches the owning system's scheduling slot. Install once
+// at boot; a nil gate never preempts.
+func (t *TLB) SetGate(g *preempt.Gate) { t.gate = g }
 
 // Walk is the hardware translation path: consult the cache, walk and
 // fill on a miss. A hit is served without looking at the tables — the
@@ -194,7 +201,7 @@ func (t *TLB) walkLeafDeps(root PhysAddr, ia uint64) tlbEntry {
 func (t *TLB) InvalidateRange(vmid VMID, ia, size uint64) {
 	// Fired here (not at every emitting call site) so the table point
 	// resolved is the caller's.
-	preempt.FireCaller(preempt.KindTLBI)
+	t.gate.FireCaller(preempt.KindTLBI)
 	end := ia + size
 	t.invalidate(func() {
 		m := t.entries[vmid]
@@ -216,13 +223,13 @@ func (t *TLB) InvalidateIPA(vmid VMID, ia uint64) {
 // InvalidateVMID drops every cached translation tagged vmid — Arm's
 // TLBI VMALLS12E1IS, issued when a VM's stage 2 is torn down.
 func (t *TLB) InvalidateVMID(vmid VMID) {
-	preempt.FireCaller(preempt.KindTLBI)
+	t.gate.FireCaller(preempt.KindTLBI)
 	t.invalidate(func() { delete(t.entries, vmid) })
 }
 
 // InvalidateAll drops everything — TLBI ALLE1IS.
 func (t *TLB) InvalidateAll() {
-	preempt.FireCaller(preempt.KindTLBI)
+	t.gate.FireCaller(preempt.KindTLBI)
 	t.invalidate(func() { clear(t.entries) })
 }
 
@@ -237,7 +244,7 @@ func (t *TLB) InvalidateAll() {
 // execution would both translate through ghosts of the previous one
 // and trip CheckCoherence's missing-TLBI report.)
 func (t *TLB) InvalidateStale() {
-	preempt.FireCaller(preempt.KindTLBI)
+	t.gate.FireCaller(preempt.KindTLBI)
 	t.invalidate(func() {
 		for _, m := range t.entries {
 			for k, e := range m {

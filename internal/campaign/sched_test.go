@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"ghostspec/internal/core/ghost"
 	"ghostspec/internal/coverage"
@@ -103,6 +105,103 @@ func TestScheduledReplayIsDeterministic(t *testing.T) {
 	seeded := exec(sched.WithSeed(99))
 	if seeded.sched.String() != first.sched.String() {
 		t.Fatalf("same seed produced a different schedule:\n  %s\n  %s", first.sched, seeded.sched)
+	}
+}
+
+// TestConcurrentSchedulersDoNotInterfere runs the same fuzzed 2-vCPU
+// trace under the same schedule seed on two systems from two
+// goroutines at once: each scheduler occupies only its own system's
+// gate, so each run must record exactly the schedule and preemption
+// count of a solo run.
+func TestConcurrentSchedulersDoNotInterfere(t *testing.T) {
+	tr := fuzzedTrace(t, 20261017, 120)
+	type result struct {
+		sched       string
+		preemptions uint64
+		failures    int
+		err         error
+	}
+	run := func(d *proxy.Driver, rec *ghost.Recorder) result {
+		s := sched.New(2, sched.WithSeed(41))
+		err := randtest.ReplayScheduled(d, tr, s)
+		return result{s.Record().String(), s.Preemptions(), len(rec.Failures()), err}
+	}
+
+	d, rec, _ := bootScheduled(t, 2)
+	solo := run(d, rec)
+	if solo.err != nil || solo.failures != 0 || solo.preemptions == 0 {
+		t.Fatalf("solo run: err=%v alarms=%d preemptions=%d", solo.err, solo.failures, solo.preemptions)
+	}
+	var (
+		drivers [2]*proxy.Driver
+		recs    [2]*ghost.Recorder
+		got     [2]result
+		wg      sync.WaitGroup
+	)
+	for i := range drivers {
+		drivers[i], recs[i], _ = bootScheduled(t, 2)
+	}
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(drivers[i], recs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r != solo {
+			t.Errorf("concurrent run %d differs from the solo run:\n  solo: %d preemptions, alarms=%d, err=%v\n        %s\n  got:  %d preemptions, alarms=%d, err=%v\n        %s",
+				i, solo.preemptions, solo.failures, solo.err, solo.sched, r.preemptions, r.failures, r.err, r.sched)
+		}
+	}
+}
+
+// TestSchedulerDetachesAfterRun pins that a scheduler occupies its
+// system's gate only while it runs: afterwards hypercalls on the same
+// system pass straight through — no park, no change to the finished
+// scheduler's preemption count — and the gate takes a new scheduler.
+func TestSchedulerDetachesAfterRun(t *testing.T) {
+	tr := fuzzedTrace(t, 7, 40)
+	d, rec, _ := bootScheduled(t, 2)
+	s := sched.New(2, sched.WithSeed(5))
+	if err := randtest.ReplayScheduled(d, tr, s); err != nil {
+		t.Fatalf("scheduled replay: %v", err)
+	}
+	pre := s.Preemptions()
+
+	done := make(chan error, 1)
+	go func() {
+		pfn, err := d.AllocPage()
+		if err == nil {
+			err = d.ShareHyp(0, pfn)
+		}
+		if err == nil {
+			err = d.UnshareHyp(1, pfn)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("hypercall after the run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("hypercall after the run parked: the scheduler is still attached")
+	}
+	if got := s.Preemptions(); got != pre {
+		t.Fatalf("hypercall after the run changed Preemptions: %d -> %d", pre, got)
+	}
+	if n := len(rec.Failures()); n != 0 {
+		t.Fatalf("clean hypervisor raised %d alarms", n)
+	}
+
+	s2 := sched.New(2, sched.WithSeed(5))
+	if err := randtest.ReplayScheduled(d, tr, s2); err != nil {
+		t.Fatalf("second scheduled replay on the same system: %v", err)
+	}
+	if s2.Preemptions() == 0 {
+		t.Fatal("second scheduler recorded no preemptions: it never occupied the gate")
 	}
 }
 

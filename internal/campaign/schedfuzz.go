@@ -2,10 +2,9 @@
 // serial phase ran cleanly is split across vCPU streams and re-executed
 // under a seeded deterministic schedule (internal/sched), so the same
 // generator effort also probes interleavings: preemption points inside
-// operations — lock windows, TLBI edges, page-table visitor steps —
-// become places another vCPU's hypercall runs mid-operation, and the
-// ghost oracle's lock-release checks now fire against genuinely
-// interleaved state. A failing scheduled replay yields a Finding whose
+// operations — lock windows and TLBI edges — become places another
+// vCPU's hypercall runs mid-operation, and the ghost oracle's
+// lock-release checks now fire against genuinely interleaved state. A failing scheduled replay yields a Finding whose
 // reproduction recipe is the (trace, schedule) pair, both minimized.
 package campaign
 

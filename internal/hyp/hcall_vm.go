@@ -3,7 +3,6 @@ package hyp
 import (
 	"ghostspec/internal/arch"
 	"ghostspec/internal/faults"
-	"ghostspec/internal/spinlock"
 )
 
 // InitVMDonation returns the number of pages the host must donate with
@@ -85,9 +84,8 @@ func (hv *Hypervisor) initVM(cpu int, nrVCPUs int, donPFN arch.PFN, donNr uint64
 		State:     VMActive,
 		Protected: true,
 		NrVCPUs:   nrVCPUs,
-		Lock:      spinlock.NewRanked("guest:"+handle.String(), LockRankGuest, nil),
+		Lock:      hv.newLock("guest:"+handle.String(), LockRankGuest),
 	}
-	vm.Lock.SetTracer(hv.tracer, hv.traceLane)
 	for i := 0; i < nrVCPUs; i++ {
 		vm.VCPUs = append(vm.VCPUs, &VCPU{Idx: i, LoadedOn: -1})
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
 	"ghostspec/internal/faults"
 	"ghostspec/internal/mem"
@@ -174,6 +175,12 @@ type Hypervisor struct {
 	// arch.TLB, checks in ghost); nil stays untraced.
 	tracer    *trace.Tracer
 	traceLane int
+
+	// gate is this system's scheduling slot, handed to every spinlock
+	// and to the TLB: a deterministic scheduler occupies it while it
+	// runs this system's vCPUs, and crossings pass straight through
+	// otherwise.
+	gate preempt.Gate
 }
 
 // New boots the hypervisor: builds the physical memory, carves out the
@@ -193,9 +200,6 @@ func New(cfg Config) (*Hypervisor, error) {
 		CPUs:        arch.NewCPUs(cfg.NrCPUs),
 		Inj:         cfg.Inj,
 		HypPool:     mem.NewPool("hyp", arch.PhysToPFN(carveStart), cfg.HypPoolPages),
-		hostLock:    spinlock.NewRanked("host", LockRankHost, nil),
-		hypLock:     spinlock.NewRanked("pkvm", LockRankHyp, nil),
-		vmsLock:     spinlock.NewRanked("vms", LockRankVMTable, nil),
 		reclaimable: make(map[arch.PFN]bool),
 		percpu:      make([]*PerCPU, cfg.NrCPUs),
 		instr:       nopInstr{},
@@ -206,11 +210,12 @@ func New(cfg Config) (*Hypervisor, error) {
 	for i := range hv.percpu {
 		hv.percpu[i] = &PerCPU{LoadedVCPU: -1}
 	}
-	for _, l := range []*spinlock.Lock{hv.hostLock, hv.hypLock, hv.vmsLock} {
-		l.SetTracer(hv.tracer, hv.traceLane)
-	}
+	hv.hostLock = hv.newLock("host", LockRankHost)
+	hv.hypLock = hv.newLock("pkvm", LockRankHyp)
+	hv.vmsLock = hv.newLock("vms", LockRankVMTable)
 	hv.tlb = arch.NewTLB(m)
 	hv.tlb.SetTracer(hv.tracer, hv.traceLane)
+	hv.tlb.SetGate(&hv.gate)
 
 	hv.globals = Globals{
 		NrCPUs:      cfg.NrCPUs,
@@ -322,6 +327,21 @@ const (
 // the rank validator tests); hypercall paths use the lockVMs helper
 // so the ghost hooks fire.
 func (hv *Hypervisor) VMTableLock() *spinlock.Lock { return hv.vmsLock }
+
+// newLock builds one of this system's ranked spinlocks, wired to its
+// tracer and scheduling gate.
+func (hv *Hypervisor) newLock(component string, rank int) *spinlock.Lock {
+	l := spinlock.NewRanked(component, rank, nil)
+	l.SetTracer(hv.tracer, hv.traceLane)
+	l.SetGate(&hv.gate)
+	return l
+}
+
+// Gate returns the system's scheduling slot. A deterministic scheduler
+// attaches to it for the duration of a scheduled run (sched.Scheduler
+// Run); every lock and TLBI preemption point of this system is crossed
+// through it.
+func (hv *Hypervisor) Gate() *preempt.Gate { return &hv.gate }
 
 // SetInstrumentation attaches the ghost hooks. It must be called
 // before any hypercall traffic, mirroring the boot-time configuration

@@ -6,7 +6,6 @@ import (
 	"ghostspec/internal/arch"
 	"ghostspec/internal/mem"
 	"ghostspec/internal/pgtable"
-	"ghostspec/internal/spinlock"
 	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
 )
@@ -267,9 +266,8 @@ func (hv *Hypervisor) restoreState(st *sysState) {
 			Protected: vs.protected,
 			NrVCPUs:   vs.nrVCPUs,
 			donated:   append([]arch.PFN(nil), vs.donated...),
-			Lock:      spinlock.NewRanked("guest:"+vs.handle.String(), LockRankGuest, nil),
+			Lock:      hv.newLock("guest:"+vs.handle.String(), LockRankGuest),
 		}
-		vm.Lock.SetTracer(hv.tracer, hv.traceLane)
 		for _, vcs := range vs.vcpus {
 			vcpu := &VCPU{
 				Idx:         vcs.idx,

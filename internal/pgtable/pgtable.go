@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ghostspec/internal/analysis/preempt"
 	"ghostspec/internal/arch"
 	"ghostspec/internal/telemetry"
 	"ghostspec/internal/telemetry/trace"
@@ -238,6 +237,11 @@ type Visitor struct {
 // according to its flags. It follows the architecture's table-walk
 // order and visits entries in ascending input-address order.
 //
+// A walk holds no preemption point: it runs under the table's owner
+// lock, so no other vCPU can write the table mid-walk, and a park
+// inside it could only expose states the lock-acquire point already
+// does.
+//
 //ghost:requires lock=owner
 func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 	if err := checkRange(ia, size); err != nil {
@@ -245,20 +249,6 @@ func (t *Table) Walk(ia, size uint64, v *Visitor) error {
 	}
 	if !telemetry.Disabled() {
 		telWalks.Inc()
-	}
-	if preempt.Armed() && v.Fn != nil {
-		// A scheduler is installed: interpose the visitor-step
-		// preemption point in front of every callback, on a copy so the
-		// caller's Visitor is untouched. The point resolves to the
-		// walker's own v.Fn dispatch line — the per-entry granularity
-		// the preemption-point table records.
-		inner := v.Fn
-		wrapped := *v
-		wrapped.Fn = func(ctx *VisitCtx) error {
-			preempt.FireCaller(preempt.KindVisitorStep)
-			return inner(ctx)
-		}
-		v = &wrapped
 	}
 	return t.walkLevel(t.root, arch.StartLevel, ia, ia+size, v)
 }

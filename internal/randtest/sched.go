@@ -30,10 +30,11 @@ func SplitByCPU(tr *Trace, n int) [][]Op {
 // ReplayScheduled replays a trace with each vCPU's ops on its own
 // goroutine under the deterministic scheduler: every op is preceded by
 // an op-boundary park, and every instrumented preemption point inside
-// an op (lock acquire/release, TLBI, page-table visitor step) is a
-// further opportunity for the schedule to interleave another vCPU
-// mid-operation. The frame/handle translation env is shared across
-// streams — one-token scheduling serialises it (see replayEnv).
+// an op (lock acquire/release, TLBI) is a further opportunity for the
+// schedule to interleave another vCPU mid-operation. s occupies d's
+// hypervisor's gate for the duration of the run only. The frame/handle
+// translation env is shared across streams — one-token scheduling
+// serialises it (see replayEnv).
 //
 // The returned error is the scheduler's: replay divergence, schedule
 // deadlock, or a captured stream panic. Oracle verdicts, as always,
@@ -56,5 +57,5 @@ func ReplayScheduled(d *proxy.Driver, tr *Trace, s *sched.Scheduler) error {
 			}
 		}
 	}
-	return s.Run(fns...)
+	return s.Run(d.HV.Gate(), fns...)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ghostspec/internal/analysis/preempt"
-	"ghostspec/internal/spinlock"
 	"ghostspec/internal/telemetry/trace"
 )
 
@@ -39,12 +38,21 @@ type vcell struct {
 	grant chan struct{}
 	// blocked is the spinlock the cell is waiting on while
 	// stateBlocked.
-	blocked *spinlock.Lock
+	blocked preempt.Lock
 }
 
 // Scheduler runs N vCPU stream functions under deterministic
 // cooperative scheduling. A Scheduler is single-use: construct with
 // New, call Run exactly once.
+//
+// While Run is in progress the scheduler occupies the scheduled
+// system's preempt.Gate and receives that system's point crossings
+// (it implements preempt.Scheduler). Under one-token scheduling the
+// only goroutine that can cross a point of that system is the cell
+// holding the token, so every crossing is attributed to the running
+// cell; with no running cell — before the first grant, after the last
+// cell finished, or once the run was abandoned — a crossing passes
+// straight through.
 type Scheduler struct {
 	mu    sync.Mutex
 	cells []vcell
@@ -137,11 +145,14 @@ func New(n int, opts ...Option) *Scheduler {
 func (s *Scheduler) NCPUs() int { return len(s.cells) }
 
 // Run executes one stream function per vCPU under the scheduler and
-// returns after all of them finish. The error reports replay
-// validation failures, replay divergence, schedule deadlock
-// (abandonment), or a panic captured from a stream (lock-rank
-// inversions surface here).
-func (s *Scheduler) Run(fns ...func(vcpu int)) error {
+// returns after all of them finish. g is the gate of the system the
+// streams drive (hyp.Hypervisor.Gate); the scheduler occupies it for
+// the duration of Run, so that system's lock and TLBI points become
+// scheduling decisions. A nil g schedules at op boundaries only. The
+// error reports replay validation failures, replay divergence,
+// schedule deadlock (abandonment), or a panic captured from a stream
+// (lock-rank inversions surface here).
+func (s *Scheduler) Run(g *preempt.Gate, fns ...func(vcpu int)) error {
 	if len(fns) != len(s.cells) {
 		return fmt.Errorf("sched: %d stream functions for %d vCPUs", len(fns), len(s.cells))
 	}
@@ -150,8 +161,10 @@ func (s *Scheduler) Run(fns ...func(vcpu int)) error {
 			return err
 		}
 	}
-	acquireHooks(s)
-	defer releaseHooks(s)
+	if g != nil {
+		g.Attach(s)
+		defer g.Detach()
+	}
 
 	var ready sync.WaitGroup
 	ready.Add(len(fns))
@@ -171,15 +184,13 @@ func (s *Scheduler) Run(fns ...func(vcpu int)) error {
 	return s.err
 }
 
-// vcpuMain is one vCPU goroutine: register for point routing, park at
-// the startup boundary, then run the stream. Panics (most importantly
-// spinlock rank inversions) are captured into the scheduler error —
-// the goroutine's deferred unlocks have already run by then, so the
-// remaining vCPUs can still drain.
+// vcpuMain is one vCPU goroutine: park at the startup boundary, then
+// run the stream. Panics (most importantly spinlock rank inversions)
+// are captured into the scheduler error — the goroutine's deferred
+// unlocks have already run by then, so the remaining vCPUs can still
+// drain.
 func (s *Scheduler) vcpuMain(id int, fn func(int), ready *sync.WaitGroup) {
 	defer s.wg.Done()
-	gid := registerGoroutine(s, id)
-	defer unregisterGoroutine(gid)
 	defer func() {
 		if r := recover(); r != nil {
 			s.notePanic(id, r)
@@ -206,94 +217,96 @@ func (s *Scheduler) vcpuMain(id int, fn func(int), ready *sync.WaitGroup) {
 // replay exhaustion after divergence) — the stream should stop issuing
 // operations, because one-token serialisation is no longer guaranteed.
 func (s *Scheduler) Boundary(vcpu int) bool {
-	s.park(vcpu, preempt.PointBoundary)
 	s.mu.Lock()
-	ok := !s.abandoned
-	s.mu.Unlock()
-	return ok
+	defer s.mu.Unlock()
+	s.parkLocked(vcpu, preempt.PointBoundary)
+	return !s.abandoned
 }
 
-// park stops the calling cell at the given point and waits for the
-// token. Called from Boundary and (via the dispatcher) from the
-// preempt hook on every instrumented point crossing.
-func (s *Scheduler) park(id int, point uint64) {
+// Preempt implements preempt.Scheduler: the running cell parks at p.
+func (s *Scheduler) Preempt(p preempt.Point) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.parkLocked(s.runningLocked(), p.ID)
+}
+
+// runningLocked returns the cell holding the token, or -1 when no cell
+// is under one-token control (not started, or abandoned — then several
+// cells run at once and none may park). Caller holds s.mu.
+func (s *Scheduler) runningLocked() int {
 	if !s.started || s.abandoned {
-		s.mu.Unlock()
+		return -1
+	}
+	for i := range s.cells {
+		if s.cells[i].state == stateRunning {
+			return i
+		}
+	}
+	return -1
+}
+
+// parkLocked stops cell id at the given point and waits for the token.
+// The caller holds s.mu, which is dropped while the cell waits and
+// re-taken before return. A cell that does not hold the token (id -1,
+// or a park outside its running window) passes straight through.
+func (s *Scheduler) parkLocked(id int, point uint64) {
+	if !s.started || s.abandoned || id < 0 || s.cells[id].state != stateRunning {
 		return
 	}
 	c := &s.cells[id]
-	if c.state != stateRunning {
-		// Defensive: a point fired on this goroutine outside its
-		// running window (should not happen under one-token).
-		s.mu.Unlock()
-		return
-	}
 	c.state = stateParked
 	c.point = point
+	s.wait(c)
+}
+
+// wait records one preemption of c, hands the token onward, and blocks
+// until c is granted again. Caller holds s.mu; it is dropped across
+// the wait.
+func (s *Scheduler) wait(c *vcell) {
 	s.preemptions++
 	telPreemptions.Inc()
 	start := time.Now()
 	s.decideLocked()
 	s.mu.Unlock()
-
 	<-c.grant
 	d := time.Since(start)
 	telParkedNS.Add(uint64(d))
 	s.tracer.Emit(s.lane, spanPreempt, start, d)
+	s.mu.Lock()
 }
 
-// lockContended is called (via the dispatcher) when the calling cell
-// failed a spinlock TryLock. The cell blocks — not grantable — until
-// lockReleased flips it back to parked and a decision grants it.
-// Returns false when the cell should fall back to a plain blocking
-// acquisition (scheduler not started, or abandoned).
-func (s *Scheduler) lockContended(id int, l *spinlock.Lock) bool {
+// LockContended implements preempt.Scheduler: the running cell failed
+// a spinlock TryLock. The cell blocks — not grantable — until
+// LockReleased flips it back to parked and a decision grants it.
+// Returns false when the caller should fall back to a plain blocking
+// acquisition (no running cell, or the run was abandoned).
+func (s *Scheduler) LockContended(l preempt.Lock) bool {
 	s.mu.Lock()
-	if !s.started || s.abandoned {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	id := s.runningLocked()
+	if id < 0 {
 		return false
 	}
 	c := &s.cells[id]
-	if c.state != stateRunning {
-		s.mu.Unlock()
-		return false
-	}
 	c.state = stateBlocked
 	c.point = preempt.PointLockWait
 	c.blocked = l
-	s.preemptions++
-	telPreemptions.Inc()
-	start := time.Now()
-	s.decideLocked()
-	if s.abandoned {
-		// The block we just declared completed a deadlock; undo it and
-		// let the caller block on the mutex directly (the abandonment
-		// grant storm is releasing the other cells).
-		c.state = stateRunning
-		c.blocked = nil
-		s.mu.Unlock()
-		return false
-	}
-	s.mu.Unlock()
-
-	<-c.grant
-	d := time.Since(start)
-	telParkedNS.Add(uint64(d))
-	s.tracer.Emit(s.lane, spanPreempt, start, d)
-	s.mu.Lock()
-	s.cells[id].blocked = nil
-	s.mu.Unlock()
-	return true
+	s.wait(c)
+	c.blocked = nil
+	// After abandonment (possibly completed by this very block) the
+	// grant came from the abandonment storm, not from a release of l:
+	// the caller blocks on the mutex directly.
+	return !s.abandoned
 }
 
-// lockReleased is called (via the dispatcher) after every spinlock
-// unlock while the scheduler is active: cells blocked on that lock
+// LockReleased implements preempt.Scheduler, called after every
+// release of a lock on the scheduled system: cells blocked on that lock
 // become grantable again. The releaser is normally still running (the
 // unlock happened mid-stream), in which case no decision is due yet —
 // decideLocked's running-cell check handles that.
-func (s *Scheduler) lockReleased(l *spinlock.Lock) {
+func (s *Scheduler) LockReleased(l preempt.Lock) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	woke := false
 	for i := range s.cells {
 		if s.cells[i].state == stateBlocked && s.cells[i].blocked == l {
@@ -304,7 +317,6 @@ func (s *Scheduler) lockReleased(l *spinlock.Lock) {
 	if woke && s.started {
 		s.decideLocked()
 	}
-	s.mu.Unlock()
 }
 
 // finish marks the cell done and hands the token onward.

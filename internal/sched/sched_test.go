@@ -2,6 +2,7 @@ package sched
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"ghostspec/internal/analysis/preempt"
@@ -30,7 +31,7 @@ func TestSeededScheduleIsDeterministic(t *testing.T) {
 	run := func() ([][2]int, *Schedule) {
 		var log [][2]int
 		s := New(3, WithSeed(42))
-		if err := s.Run(streams(s, 3, 5, &log)...); err != nil {
+		if err := s.Run(nil, streams(s, 3, 5, &log)...); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return log, s.Record()
@@ -53,14 +54,14 @@ func TestSeededScheduleIsDeterministic(t *testing.T) {
 func TestReplayReproducesSchedule(t *testing.T) {
 	var log1 [][2]int
 	s1 := New(2, WithSeed(7))
-	if err := s1.Run(streams(s1, 2, 6, &log1)...); err != nil {
+	if err := s1.Run(nil, streams(s1, 2, 6, &log1)...); err != nil {
 		t.Fatalf("record run: %v", err)
 	}
 	rec := s1.Record()
 
 	var log2 [][2]int
 	s2 := New(2, WithReplay(rec))
-	if err := s2.Run(streams(s2, 2, 6, &log2)...); err != nil {
+	if err := s2.Run(nil, streams(s2, 2, 6, &log2)...); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	if got := s2.Record().String(); got != rec.String() {
@@ -79,7 +80,7 @@ func TestReplayReproducesSchedule(t *testing.T) {
 func TestStaleSchedulePointFailsLoudly(t *testing.T) {
 	sch := &Schedule{Steps: []Step{{VCPU: 0, Point: 0xdeadbeefdeadbeef}}}
 	s := New(1, WithReplay(sch))
-	err := s.Run(func(int) {})
+	err := s.Run(nil, func(int) {})
 	if err == nil {
 		t.Fatal("Run accepted a schedule with an unknown point ID")
 	}
@@ -94,7 +95,7 @@ func TestStaleSchedulePointFailsLoudly(t *testing.T) {
 func TestForcedChoicesRecordArity(t *testing.T) {
 	var log [][2]int
 	s := New(2, WithForcedChoices(nil))
-	if err := s.Run(streams(s, 2, 3, &log)...); err != nil {
+	if err := s.Run(nil, streams(s, 2, 3, &log)...); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	ch := s.Choices()
@@ -119,7 +120,7 @@ func TestForcedChoicesRecordArity(t *testing.T) {
 	// decisions is what makes vCPU 1 execute the first op.
 	var log2 [][2]int
 	s2 := New(2, WithForcedChoices([]int{1, 1}))
-	if err := s2.Run(streams(s2, 2, 3, &log2)...); err != nil {
+	if err := s2.Run(nil, streams(s2, 2, 3, &log2)...); err != nil {
 		t.Fatalf("forced Run: %v", err)
 	}
 	if log2[0] != [2]int{1, 0} {
@@ -128,10 +129,12 @@ func TestForcedChoicesRecordArity(t *testing.T) {
 }
 
 func TestContendedLockHandsOff(t *testing.T) {
+	var g preempt.Gate
 	l := spinlock.New("test", nil)
+	l.SetGate(&g)
 	var order []string
 	s := New(2)
-	err := s.Run(
+	err := s.Run(&g,
 		func(v int) {
 			s.Boundary(v)
 			l.Lock()
@@ -160,9 +163,81 @@ func TestContendedLockHandsOff(t *testing.T) {
 	}
 }
 
+// TestUnscheduledLockBlocksNormally pins that a scheduler only sees
+// the system whose gate it occupies: while v0 of a scheduled system
+// holds a lock of another, unscheduled system across a park, a plain
+// goroutine contending on that lock blocks on it and is handed it on
+// release — and the scheduled run's schedule and preemption count are
+// those of the same streams without the outside contender.
+func TestUnscheduledLockBlocksNormally(t *testing.T) {
+	run := func(contend bool) (string, *Schedule, uint64) {
+		var ga, gb preempt.Gate
+		la := spinlock.New("sched-a", nil)
+		la.SetGate(&ga)
+		lb := spinlock.New("idle-b", nil)
+		lb.SetGate(&gb)
+		var (
+			mu    sync.Mutex
+			order []string
+		)
+		note := func(ev string) {
+			mu.Lock()
+			order = append(order, ev)
+			mu.Unlock()
+		}
+		s := New(2, WithSeed(3))
+		err := s.Run(&ga,
+			func(v int) {
+				s.Boundary(v)
+				lb.Lock()
+				done := make(chan struct{})
+				if contend {
+					started := make(chan struct{})
+					go func() {
+						close(started)
+						lb.Lock() // blocks: v0 holds lb across its park
+						note("outsider acquired b")
+						lb.Unlock()
+						close(done)
+					}()
+					<-started
+				} else {
+					close(done)
+				}
+				la.Lock()
+				s.Boundary(v) // park holding both locks
+				la.Unlock()
+				note("v0 releasing b")
+				lb.Unlock()
+				<-done
+			},
+			func(v int) {
+				s.Boundary(v)
+				la.Lock()
+				note("v1 acquired a")
+				la.Unlock()
+			},
+		)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return strings.Join(order, ", "), s.Record(), s.Preemptions()
+	}
+
+	_, baseSched, basePre := run(false)
+	order, sch, pre := run(true)
+	if want := "v0 releasing b, outsider acquired b, v1 acquired a"; order != want {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+	if sch.String() != baseSched.String() || pre != basePre {
+		t.Fatalf("outside contender disturbed the schedule:\n  alone: %s (%d preemptions)\n  with:  %s (%d preemptions)",
+			baseSched, basePre, sch, pre)
+	}
+}
+
 func TestPanicInStreamIsCaptured(t *testing.T) {
 	s := New(2)
-	err := s.Run(
+	err := s.Run(nil,
 		func(v int) { s.Boundary(v) },
 		func(v int) {
 			s.Boundary(v)

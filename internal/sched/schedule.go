@@ -8,6 +8,13 @@
 // on unchanged source, and fails loudly — not by silent divergence —
 // when the table no longer knows a recorded point ID.
 //
+// A scheduler is attached to one system, not to goroutines: Run
+// occupies the system's preempt.Gate, through which that system's
+// spinlocks and TLB report their point crossings, and empties it on
+// return. Because exactly one vCPU holds the token, a crossing on the
+// attached system always belongs to the running vCPU; schedulers on
+// different systems never see each other's crossings.
+//
 // The protocol is token passing, not a central dispatcher: the parking
 // vCPU itself picks the successor (under the scheduler mutex) and sends
 // on the successor's buffered grant channel before waiting on its own.

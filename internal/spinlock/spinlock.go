@@ -81,6 +81,12 @@ type Lock struct {
 	tracer   *trace.Tracer
 	lane     int
 	waitSpan trace.Name
+
+	// gate is the owning system's scheduling slot: acquire and release
+	// are preemption points crossed through it, and a contended
+	// acquisition parks the running vCPU there instead of blocking
+	// while a scheduler occupies it. Set once at boot (SetGate).
+	gate *preempt.Gate
 }
 
 // New returns a named lock with the given hooks (which may be nil).
@@ -115,26 +121,27 @@ func (l *Lock) name() string {
 	return l.component
 }
 
-// SetHooks installs hooks on an existing lock. It must not be called
-// concurrently with Lock/Unlock; the hypervisor installs hooks once at
-// initialisation, before any hypercall traffic.
-func (l *Lock) SetHooks(h *Hooks) { l.hooks = h }
-
 // SetTracer attaches a span tracer for slow-acquisition emission. The
 // lane is the owning system's lane; contention spans are emitted
 // parentless (the waiter's goroutine owns no lane stack position).
-// Like SetHooks, install once at boot.
+// Install once at boot, before any hypercall traffic.
 func (l *Lock) SetTracer(t *trace.Tracer, lane int) {
 	l.tracer, l.lane = t, lane
 }
+
+// SetGate attaches the owning system's scheduling slot. Like the
+// tracer, install once at boot; a lock with no gate never preempts.
+func (l *Lock) SetGate(g *preempt.Gate) { l.gate = g }
 
 // Component returns the lock's registered name.
 func (l *Lock) Component() string { return l.component }
 
 // Lock acquires the lock and runs the Acquired hook while holding it.
-// Before acquiring it fires the acquire preemption point (resolved to
-// the caller's table entry), so a deterministic scheduler can park the
-// vCPU on the threshold of the critical section.
+// Before acquiring it crosses the acquire preemption point (resolved
+// to the caller's table entry) through the lock's gate, so a scheduler
+// running the owning system can park the vCPU on the threshold of the
+// critical section. Under that scheduler a contended acquisition parks
+// the vCPU until the holder releases; otherwise it blocks.
 func (l *Lock) Lock() {
 	if rankCheckOn.Load() {
 		// Validate before blocking on mu: a rank inversion must panic
@@ -142,7 +149,7 @@ func (l *Lock) Lock() {
 		// holding the locks in the other order.
 		noteAcquire(l)
 	}
-	preempt.FireCaller(preempt.KindLockAcquire)
+	l.gate.FireCaller(preempt.KindLockAcquire)
 	if l.acquires == nil || telemetry.Disabled() {
 		if !l.mu.TryLock() {
 			l.lockContended()
@@ -168,12 +175,13 @@ func (l *Lock) Lock() {
 
 // Unlock runs the Releasing hook and drops the lock. Unlocking a lock
 // that is not held (double unlock) panics with the component name.
-// The release preemption point fires while the lock is still held and
-// before the Releasing hook: a scheduler parking the vCPU there holds
-// the whole system in the release window — other vCPUs observe the
-// component locked with its mutation complete but the oracle's
+// The release preemption point is crossed while the lock is still held
+// and before the Releasing hook: a scheduler parking the vCPU there
+// holds the whole system in the release window — other vCPUs observe
+// the component locked with its mutation complete but the oracle's
 // release-time checks not yet run — which is exactly the interleaving
-// the lock-window litmuses probe.
+// the lock-window litmuses probe. After the drop, the gate's scheduler
+// learns of the release so vCPUs blocked on the lock become grantable.
 func (l *Lock) Unlock() {
 	if !l.held {
 		panic("spinlock: unlock of unheld lock " + l.name())
@@ -181,15 +189,25 @@ func (l *Lock) Unlock() {
 	if rankCheckOn.Load() {
 		noteRelease(l)
 	}
-	preempt.FireCaller(preempt.KindLockRelease)
+	l.gate.FireCaller(preempt.KindLockRelease)
 	if l.hooks != nil && l.hooks.Releasing != nil {
 		l.hooks.Releasing(l.component)
 	}
 	l.held = false
 	l.mu.Unlock()
-	if s := loadScheduler(); s != nil {
-		s.LockReleased(l)
+	l.gate.LockReleased(l)
+}
+
+// lockContended acquires a lock whose TryLock just failed: the running
+// vCPU of a scheduled system parks until the holder releases and
+// retries; everyone else blocks on the mutex.
+func (l *Lock) lockContended() {
+	for l.gate.LockContended(l) {
+		if l.mu.TryLock() {
+			return
+		}
 	}
+	l.mu.Lock()
 }
 
 // Held reports whether the lock is currently held. It is advisory
