@@ -13,12 +13,11 @@ import (
 // are trace-plus-boot-configuration, never warm state.
 type Factory func() (*proxy.Driver, *ghost.Recorder, error)
 
-// Shrink minimizes a failing trace by delta debugging: ddmin over
-// chunk complements down to single-op granularity, then a linear
-// polish pass removing ops one at a time, giving a near-1-minimal
-// reproduction (every remaining op is individually necessary up to
-// the replay budget). Each candidate replays deterministically on a
-// fresh system; a candidate is kept when the oracle still alarms.
+// Shrink minimizes a failing trace by delta debugging (see ddmin),
+// giving a near-1-minimal reproduction: every remaining op is
+// individually necessary up to the replay budget. Each candidate
+// replays deterministically on a fresh system; a candidate is kept
+// when the oracle still alarms.
 //
 // It returns the minimized trace, the alarms it raises, the number of
 // replays spent, and whether the original trace reproduced at all. A
@@ -27,9 +26,12 @@ type Factory func() (*proxy.Driver, *ghost.Recorder, error)
 // the best trace so far is returned.
 func Shrink(boot Factory, tr *randtest.Trace, maxReplays int) (*randtest.Trace, []ghost.Failure, int, bool) {
 	replays := 0
+	budgetLeft := func() bool { return replays < maxReplays }
+	// lastFailures changes only when fails returns true, so it always
+	// holds the alarms of the trace ddmin last kept.
 	var lastFailures []ghost.Failure
 	fails := func(ops []randtest.Op) bool {
-		if replays >= maxReplays {
+		if !budgetLeft() {
 			return false
 		}
 		replays++
@@ -57,14 +59,22 @@ func Shrink(boot Factory, tr *randtest.Trace, maxReplays int) (*randtest.Trace, 
 	if fails(nil) {
 		return &randtest.Trace{}, lastFailures, replays, true
 	}
+	cur := ddmin(tr.Ops, budgetLeft, fails)
+	return &randtest.Trace{Ops: cur}, lastFailures, replays, true
+}
 
-	cur := tr.Ops
-	curFailures := lastFailures
-
-	// ddmin: try dropping each of n chunks; on success restart with
-	// the reduced trace, otherwise refine the granularity.
+// ddmin minimizes a failing op sequence: it tries dropping each of n
+// chunks, restarting with the reduced sequence on success and refining
+// the granularity otherwise, down to single ops. A linear polish pass
+// then removes ops back to front one at a time, catching ops ddmin
+// left behind because their chunk-mates were load-bearing. fails
+// replays one candidate and reports whether it still fails; ddmin
+// keeps every candidate for which it returns true, and stops when
+// budgetLeft turns false.
+func ddmin(ops []randtest.Op, budgetLeft func() bool, fails func([]randtest.Op) bool) []randtest.Op {
+	cur := ops
 	n := 2
-	for len(cur) >= 2 && replays < maxReplays {
+	for len(cur) >= 2 && budgetLeft() {
 		chunk := (len(cur) + n - 1) / n
 		reduced := false
 		for lo := 0; lo < len(cur); lo += chunk {
@@ -73,7 +83,7 @@ func Shrink(boot Factory, tr *randtest.Trace, maxReplays int) (*randtest.Trace, 
 			cand = append(cand, cur[:lo]...)
 			cand = append(cand, cur[hi:]...)
 			if fails(cand) {
-				cur, curFailures = cand, lastFailures
+				cur = cand
 				n = max(n-1, 2)
 				reduced = true
 				break
@@ -86,19 +96,15 @@ func Shrink(boot Factory, tr *randtest.Trace, maxReplays int) (*randtest.Trace, 
 			n = min(2*n, len(cur))
 		}
 	}
-
-	// Linear polish: back-to-front single-op removal catches ops ddmin
-	// left behind because their chunk-mates were load-bearing.
-	for i := len(cur) - 1; i >= 0 && len(cur) >= 2 && replays < maxReplays; i-- {
+	for i := len(cur) - 1; i >= 0 && len(cur) >= 2 && budgetLeft(); i-- {
 		cand := make([]randtest.Op, 0, len(cur)-1)
 		cand = append(cand, cur[:i]...)
 		cand = append(cand, cur[i+1:]...)
 		if fails(cand) {
-			cur, curFailures = cand, lastFailures
+			cur = cand
 		}
 	}
-
-	return &randtest.Trace{Ops: cur}, curFailures, replays, true
+	return cur
 }
 
 // ShrinkScheduled jointly minimizes a (trace, schedule) reproduction
@@ -114,10 +120,13 @@ func Shrink(boot Factory, tr *randtest.Trace, maxReplays int) (*randtest.Trace, 
 // configuration it is the complete reproduction recipe.
 func ShrinkScheduled(boot Factory, tr *randtest.Trace, schedSeed int64, nrCPUs, maxReplays int) (*randtest.Trace, *sched.Schedule, []ghost.Failure, int, bool) {
 	replays := 0
+	budgetLeft := func() bool { return replays < maxReplays }
+	// As in Shrink, lastFailures and lastSched change only on a failing
+	// attempt, so they describe the candidate last kept.
 	var lastFailures []ghost.Failure
 	var lastSched *sched.Schedule
 	attempt := func(ops []randtest.Op, policy sched.Option) bool {
-		if replays >= maxReplays {
+		if !budgetLeft() {
 			return false
 		}
 		replays++
@@ -127,17 +136,18 @@ func ShrinkScheduled(boot Factory, tr *randtest.Trace, schedSeed int64, nrCPUs, 
 			return false
 		}
 		var runErr error
+		var recorded *sched.Schedule
 		if len(rec.Failures()) == 0 {
 			s := sched.New(nrCPUs, policy)
 			runErr = randtest.ReplayScheduled(d, &randtest.Trace{Ops: ops}, s)
-			lastSched = s.Record()
+			recorded = s.Record()
 		}
 		if f := rec.Failures(); len(f) > 0 {
-			lastFailures = f
+			lastFailures, lastSched = f, recorded
 			return true
 		}
 		if runErr != nil {
-			lastFailures = nil
+			lastFailures, lastSched = nil, recorded
 			return true
 		}
 		return false
@@ -149,58 +159,27 @@ func ShrinkScheduled(boot Factory, tr *randtest.Trace, schedSeed int64, nrCPUs, 
 	if !seeded(tr.Ops) {
 		return tr, nil, nil, replays, false
 	}
-	cur, curFailures, curSched := tr.Ops, lastFailures, lastSched
+	ops := tr.Ops
 	if seeded(nil) {
-		cur, curFailures, curSched = nil, lastFailures, lastSched
+		ops = nil
 	}
-
-	n := 2
-	for len(cur) >= 2 && replays < maxReplays {
-		chunk := (len(cur) + n - 1) / n
-		reduced := false
-		for lo := 0; lo < len(cur); lo += chunk {
-			hi := min(lo+chunk, len(cur))
-			cand := make([]randtest.Op, 0, len(cur)-(hi-lo))
-			cand = append(cand, cur[:lo]...)
-			cand = append(cand, cur[hi:]...)
-			if seeded(cand) {
-				cur, curFailures, curSched = cand, lastFailures, lastSched
-				n = max(n-1, 2)
-				reduced = true
-				break
-			}
-		}
-		if !reduced {
-			if n >= len(cur) {
-				break
-			}
-			n = min(2*n, len(cur))
-		}
-	}
-	for i := len(cur) - 1; i >= 0 && len(cur) >= 2 && replays < maxReplays; i-- {
-		cand := make([]randtest.Op, 0, len(cur)-1)
-		cand = append(cand, cur[:i]...)
-		cand = append(cand, cur[i+1:]...)
-		if seeded(cand) {
-			cur, curFailures, curSched = cand, lastFailures, lastSched
-		}
-	}
+	cur := ddmin(ops, budgetLeft, seeded)
 
 	// Schedule minimization: smallest k such that the first k recorded
 	// decisions, with the rest of the replay drained lowest-id-first,
 	// still reproduce. k = full length replays the recorded schedule
 	// exactly, so (budget permitting) the loop always terminates with
 	// a reproducing prefix.
-	minSched := curSched
-	if curSched != nil {
-		for k := 0; k <= curSched.Len() && replays < maxReplays; k++ {
-			prefix := (&sched.Schedule{Steps: curSched.Steps[:k]}).Clone()
+	recorded, minSched := lastSched, lastSched
+	if recorded != nil {
+		for k := 0; k <= recorded.Len() && budgetLeft(); k++ {
+			prefix := (&sched.Schedule{Steps: recorded.Steps[:k]}).Clone()
 			if attempt(cur, sched.WithReplay(prefix)) {
-				minSched, curFailures = prefix, lastFailures
+				minSched = prefix
 				break
 			}
 		}
 	}
 
-	return &randtest.Trace{Ops: cur}, minSched, curFailures, replays, true
+	return &randtest.Trace{Ops: cur}, minSched, lastFailures, replays, true
 }

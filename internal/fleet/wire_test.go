@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -90,6 +91,49 @@ func TestFindingRoundTrip(t *testing.T) {
 	}
 	if reblob := got.Encode(); !bytes.Equal(blob, reblob) {
 		t.Error("re-encoding the decoded finding is not byte-identical")
+	}
+}
+
+// Golden encodings at WireVersion 1 of the sample corpus entry and
+// finding. Any change to the envelope or trace layout fails
+// TestFleetWireGolden: bump the version and recapture them together.
+const (
+	goldenCorpusHex = "67686373018080808080808087408001676874720106000280a0200000000000" +
+		"0000000000000000000000030080a02000000000000000000000000000000000" +
+		"08000002110000000000000000000000000000040080a0200000000000000000" +
+		"0000000000000000020081a020000000000001000000000000000000000a0000" +
+		"00110000000000000000000000000000"
+	goldenFindingHex = "676866640106f2c00199010101a40302156c6f636b206e6f742068656c643a20" +
+		"766d6c6f636b0f7374616c6520544c4220656e74727901156c6f636b206e6f74" +
+		"2068656c643a20766d6c6f636b8001676874720106000280a020000000000000" +
+		"00000000000000000000030080a0200000000000000000000000000000000008" +
+		"000002110000000000000000000000000000040080a020000000000000000000" +
+		"00000000000000020081a020000000000001000000000000000000000a000000" +
+		"1100000000000000000000000000008001676874720106000280c02000000000" +
+		"000000000000000000000000030080c020000000000000000000000000000000" +
+		"0008000002210000000000000000000000000000040080c02000000000000000" +
+		"000000000000000000020081c020000000000001000000000000000000000a00" +
+		"000021000000000000000000000000000001020009040401010404dafbeace0b" +
+		"1873747265616d20312070616e69633a20646561646c6f636b"
+)
+
+// TestFleetWireGolden pins the envelope byte layout against encodings
+// captured before the codec was shared with the trace encoding.
+func TestFleetWireGolden(t *testing.T) {
+	if WireVersion != 1 || randtest.TraceWireVersion != 1 {
+		t.Fatalf("wire versions are %d/%d: recapture the golden encodings for them",
+			WireVersion, randtest.TraceWireVersion)
+	}
+	for name, c := range map[string]struct {
+		blob []byte
+		want string
+	}{
+		"corpus":  {CorpusEntry{Score: 3.75, Trace: sampleTrace(0x81000, 0x11)}.Encode(), goldenCorpusHex},
+		"finding": {sampleFinding().Encode(), goldenFindingHex},
+	} {
+		if got := hex.EncodeToString(c.blob); got != c.want {
+			t.Errorf("%s encoding changed without a version bump:\ngot  %s\nwant %s", name, got, c.want)
+		}
 	}
 }
 

@@ -54,14 +54,6 @@ func VMIDForSlot(slot int) arch.VMID { return arch.VMID(1 + slot) }
 // GuestOwner returns the host-S2 annotation owner ID for a VM slot.
 func GuestOwner(slot int) uint8 { return IDGuestBase + uint8(slot) }
 
-// GuestSlot inverts GuestOwner, returning -1 for non-guest owners.
-func GuestSlot(owner uint8) int {
-	if owner < IDGuestBase || int(owner-IDGuestBase) >= MaxVMs {
-		return -1
-	}
-	return int(owner - IDGuestBase)
-}
-
 // HypVAOffset is the hypervisor's linear-map offset: the hypervisor
 // virtual address of physical address pa is pa+HypVAOffset.
 const HypVAOffset uint64 = 0x8000_0000_0000

@@ -98,9 +98,6 @@ func (p *Pool) Allocated() int {
 	return len(p.inUse)
 }
 
-// Range returns the pool's frame range as [start, start+count).
-func (p *Pool) Range() (arch.PFN, uint64) { return p.start, p.count }
-
 // PoolSnapshot is a value copy of a pool's allocation state: the exact
 // free-list order (allocation replay must hand out the same PFNs in
 // the same sequence) and the allocated set. Pure data — portable

@@ -301,7 +301,9 @@ func (d *Driver) MapGuest(cpu int, pfn arch.PFN, gfn uint64) error {
 // Topup allocates nr host pages, threads the donation list through
 // them, and tops up the vCPU memcache. Returns the donated frames.
 func (d *Driver) Topup(cpu int, h hyp.Handle, idx int, nr uint64) ([]arch.PFN, error) {
-	pfns := make([]arch.PFN, 0, nr)
+	// Capacity capped, not taken from nr: a replayed trace may claim
+	// any count, and the loop stops when the host pool runs dry.
+	pfns := make([]arch.PFN, 0, min(nr, 8))
 	for i := uint64(0); i < nr; i++ {
 		pfn, err := d.AllocPage()
 		if err != nil {
@@ -319,7 +321,11 @@ func (d *Driver) Topup(cpu int, h hyp.Handle, idx int, nr uint64) ([]arch.PFN, e
 			return nil, err
 		}
 	}
-	ret, err := d.HVC(cpu, hyp.HCTopupVCPUMemcache, uint64(h), uint64(idx), uint64(pfns[0].Phys()), nr)
+	var head uint64
+	if len(pfns) > 0 {
+		head = uint64(pfns[0].Phys())
+	}
+	ret, err := d.HVC(cpu, hyp.HCTopupVCPUMemcache, uint64(h), uint64(idx), head, nr)
 	if err != nil {
 		return nil, err
 	}

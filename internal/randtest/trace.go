@@ -202,16 +202,6 @@ func (tr *Trace) String() string {
 	return b.String()
 }
 
-// Subset returns a new trace keeping only the ops whose index is in
-// keep (which must be sorted ascending).
-func (tr *Trace) Subset(keep []int) *Trace {
-	out := &Trace{Ops: make([]Op, 0, len(keep))}
-	for _, i := range keep {
-		out.Ops = append(out.Ops, tr.Ops[i])
-	}
-	return out
-}
-
 // Replay executes the trace against a freshly booted driver. Hypercall
 // errnos and host-crash reflections are ignored — the hypervisor is
 // specified to tolerate a malicious host, and during shrinking partial
@@ -226,13 +216,17 @@ func (tr *Trace) Subset(keep []int) *Trace {
 // then simply exercises an error path. The exception is OpFree, which
 // returns a frame to the host pool only if this replay's OpAlloc bound
 // it and no OpFree released it since: a free of anything else is
-// skipped.
+// skipped. So is any op recorded against a CPU the booted system lacks:
+// a trace decoded off the network may name any CPU index.
 func Replay(d *proxy.Driver, tr *Trace) {
 	trc, lane := d.HV.Tracer()
 	sp := trc.Begin(lane, spanReplay)
 	defer sp.End()
 	env := newReplayEnv()
 	for _, op := range tr.Ops {
+		if op.CPU < 0 || op.CPU >= len(d.HV.CPUs) {
+			continue
+		}
 		env.apply(d, op)
 	}
 }

@@ -15,12 +15,12 @@
 package randtest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
+	"ghostspec/internal/wire"
 )
 
 // TraceWireVersion is the current trace encoding version. Bump it on
@@ -39,9 +39,8 @@ var ErrWireVersion = errors.New("randtest: trace wire version mismatch")
 // trace encodes as an empty trace.
 func EncodeTrace(tr *Trace) []byte {
 	buf := make([]byte, 0, 16+tr.Len()*24)
-	buf = append(buf, traceMagic[:]...)
-	buf = append(buf, TraceWireVersion)
-	buf = appendUvarint(buf, uint64(tr.Len()))
+	buf = wire.AppendHeader(buf, traceMagic, TraceWireVersion)
+	buf = wire.AppendUvarint(buf, uint64(tr.Len()))
 	if tr != nil {
 		for _, op := range tr.Ops {
 			buf = appendOp(buf, op)
@@ -51,30 +50,21 @@ func EncodeTrace(tr *Trace) []byte {
 }
 
 // DecodeTrace parses the wire form back into a trace. The decode is
-// strict: bad magic, unknown version, truncation, and trailing bytes
-// are all errors.
+// strict: bad magic, unknown version, truncation, trailing bytes, and
+// guest-program register indices outside [0, arch.NumGPRs) are all
+// errors.
 func DecodeTrace(data []byte) (*Trace, error) {
-	r := wireReader{data: data}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if r.err == nil && magic != traceMagic {
-		return nil, fmt.Errorf("randtest: not a trace wire blob (magic %q)", magic)
+	r := wire.NewReader(data)
+	if err := r.Header(traceMagic, TraceWireVersion, ErrWireVersion, "trace"); err != nil {
+		return nil, err
 	}
-	ver := r.byte()
-	if r.err == nil && ver != TraceWireVersion {
-		return nil, fmt.Errorf("%w: got version %d, this binary speaks %d",
-			ErrWireVersion, ver, TraceWireVersion)
-	}
-	n := r.uvarint()
+	n := r.Uvarint()
 	tr := &Trace{}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		tr.Ops = append(tr.Ops, r.op())
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		tr.Ops = append(tr.Ops, readOp(r))
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("randtest: %d trailing bytes after trace", len(r.data)-r.pos)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
@@ -84,139 +74,72 @@ func DecodeTrace(data []byte) (*Trace, error) {
 // depend on the op kind, a needless hazard for determinism reviews.
 func appendOp(buf []byte, op Op) []byte {
 	buf = append(buf, byte(op.Kind))
-	buf = appendVarint(buf, int64(op.CPU))
-	buf = appendUvarint(buf, uint64(op.PFN))
-	buf = appendUvarint(buf, op.Nr)
-	buf = appendUvarint(buf, uint64(op.H))
-	buf = appendVarint(buf, int64(op.VCPU))
-	buf = appendUvarint(buf, op.GFN)
-	buf = appendUvarint(buf, op.Off)
-	buf = appendBool(buf, op.Write)
-	buf = appendUvarint(buf, uint64(op.HC))
+	buf = wire.AppendVarint(buf, int64(op.CPU))
+	buf = wire.AppendUvarint(buf, uint64(op.PFN))
+	buf = wire.AppendUvarint(buf, op.Nr)
+	buf = wire.AppendUvarint(buf, uint64(op.H))
+	buf = wire.AppendVarint(buf, int64(op.VCPU))
+	buf = wire.AppendUvarint(buf, op.GFN)
+	buf = wire.AppendUvarint(buf, op.Off)
+	buf = wire.AppendBool(buf, op.Write)
+	buf = wire.AppendUvarint(buf, uint64(op.HC))
 	for _, a := range op.Args {
-		buf = appendUvarint(buf, a)
+		buf = wire.AppendUvarint(buf, a)
 	}
 	buf = append(buf, byte(op.Guest.Kind))
-	buf = appendUvarint(buf, uint64(op.Guest.IPA))
-	buf = appendBool(buf, op.Guest.Write)
-	buf = appendUvarint(buf, op.Guest.Value)
-	buf = appendUvarint(buf, uint64(len(op.Prog)))
+	buf = wire.AppendUvarint(buf, uint64(op.Guest.IPA))
+	buf = wire.AppendBool(buf, op.Guest.Write)
+	buf = wire.AppendUvarint(buf, op.Guest.Value)
+	buf = wire.AppendUvarint(buf, uint64(len(op.Prog)))
 	for _, in := range op.Prog {
 		buf = append(buf, byte(in.Op))
-		buf = appendVarint(buf, int64(in.Dst))
-		buf = appendVarint(buf, int64(in.Src))
-		buf = appendUvarint(buf, in.Imm)
+		buf = wire.AppendVarint(buf, int64(in.Dst))
+		buf = wire.AppendVarint(buf, int64(in.Src))
+		buf = wire.AppendUvarint(buf, in.Imm)
 	}
 	return buf
 }
 
-func (r *wireReader) op() Op {
+// readOp is appendOp's inverse.
+func readOp(r *wire.Reader) Op {
 	var op Op
-	op.Kind = OpKind(r.byte())
-	op.CPU = int(r.varint())
-	op.PFN = arch.PFN(r.uvarint())
-	op.Nr = r.uvarint()
-	op.H = hyp.Handle(r.uvarint())
-	op.VCPU = int(r.varint())
-	op.GFN = r.uvarint()
-	op.Off = r.uvarint()
-	op.Write = r.bool()
-	op.HC = hyp.HC(r.uvarint())
+	op.Kind = OpKind(r.Byte())
+	op.CPU = int(r.Varint())
+	op.PFN = arch.PFN(r.Uvarint())
+	op.Nr = r.Uvarint()
+	op.H = hyp.Handle(r.Uvarint())
+	op.VCPU = int(r.Varint())
+	op.GFN = r.Uvarint()
+	op.Off = r.Uvarint()
+	op.Write = r.Bool()
+	op.HC = hyp.HC(r.Uvarint())
 	for i := range op.Args {
-		op.Args[i] = r.uvarint()
+		op.Args[i] = r.Uvarint()
 	}
-	op.Guest.Kind = hyp.GuestOpKind(r.byte())
-	op.Guest.IPA = arch.IPA(r.uvarint())
-	op.Guest.Write = r.bool()
-	op.Guest.Value = r.uvarint()
-	n := r.uvarint()
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	op.Guest.Kind = hyp.GuestOpKind(r.Byte())
+	op.Guest.IPA = arch.IPA(r.Uvarint())
+	op.Guest.Write = r.Bool()
+	op.Guest.Value = r.Uvarint()
+	n := r.Uvarint()
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		var in hyp.Insn
-		in.Op = hyp.Op(r.byte())
-		in.Dst = int(r.varint())
-		in.Src = int(r.varint())
-		in.Imm = r.uvarint()
+		in.Op = hyp.Op(r.Byte())
+		in.Dst = readReg(r)
+		in.Src = readReg(r)
+		in.Imm = r.Uvarint()
 		op.Prog = append(op.Prog, in)
 	}
 	return op
 }
 
-// --- primitive wire helpers -----------------------------------------
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-func appendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-// wireReader is a cursor over a wire blob that latches the first error
-// so field reads can chain without per-call checks.
-type wireReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-var errWireTruncated = errors.New("randtest: truncated trace wire blob")
-
-func (r *wireReader) fail() {
-	if r.err == nil {
-		r.err = errWireTruncated
-	}
-}
-
-func (r *wireReader) byte() byte {
-	if r.err != nil || r.pos >= len(r.data) {
-		r.fail()
+// readReg reads a guest-program register index. The guest interpreter
+// indexes its register file with it, so an out-of-range index from the
+// network would crash the process that replays the trace.
+func readReg(r *wire.Reader) int {
+	v := r.Varint()
+	if v < 0 || v >= arch.NumGPRs {
+		r.Fail(fmt.Errorf("randtest: guest register index %d outside [0, %d)", v, arch.NumGPRs))
 		return 0
 	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
+	return int(v)
 }
-
-func (r *wireReader) bytes(out []byte) {
-	if r.err != nil || r.pos+len(out) > len(r.data) {
-		r.fail()
-		return
-	}
-	copy(out, r.data[r.pos:])
-	r.pos += len(out)
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *wireReader) bool() bool { return r.byte() != 0 }

@@ -2,11 +2,15 @@ package randtest
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
 
+	"ghostspec/internal/arch"
 	"ghostspec/internal/hyp"
+	"ghostspec/internal/proxy"
+	"ghostspec/internal/wire"
 )
 
 // wireSampleTrace exercises every op kind and every Op field with
@@ -62,6 +66,36 @@ func TestTraceWireRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenTraceHex is EncodeTrace(wireSampleTrace()) at TraceWireVersion
+// 1. Any change to the byte layout fails this test: bump
+// TraceWireVersion and recapture it together.
+const goldenTraceHex = "6768747201150002b4a420000000000000000000000000000000000104b4a420" +
+	"000000000000000000000000000000000200b5a4200000000000010000000000" +
+	"00000000000300b6a420000000000000000000000000000000000400b6a42000" +
+	"0000000000000000000000000000000500b7a420030000000000000000000000" +
+	"000000000600b7a420000000000000000000000000000000000700c0a4200700" +
+	"0000000000000000000000000000080000021100000000000000000000000000" +
+	"00090000001102000000000000000000000000000b0000051102000000000000" +
+	"000000000000000c00d0a4208080401102004000000000000000000000000d00" +
+	"0000110200000000000000000000000000100000001102000000000000000001" +
+	"80800101adbd030011000000110200000000000000000000000002010406edfd" +
+	"030002002a1200e0a42000000099010000000000000000000000000f00000011" +
+	"02000000000000000000000000000e0000001102000000000000000000000000" +
+	"00130000000000000000ffff0101020380808080802000000000001400b5a420" +
+	"000000000001000000000000000000000a000000110000000000000000000000" +
+	"000000"
+
+// TestTraceWireGolden pins the byte layout against an encoding captured
+// before the codec was shared with the fleet envelopes.
+func TestTraceWireGolden(t *testing.T) {
+	if TraceWireVersion != 1 {
+		t.Fatalf("TraceWireVersion is %d: recapture goldenTraceHex for it", TraceWireVersion)
+	}
+	if got := hex.EncodeToString(EncodeTrace(wireSampleTrace())); got != goldenTraceHex {
+		t.Fatalf("trace encoding changed without a version bump:\ngot  %s\nwant %s", got, goldenTraceHex)
+	}
+}
+
 // TestTraceWireNil pins that a nil trace encodes as a decodable empty
 // trace (fleet findings may carry an empty Min).
 func TestTraceWireNil(t *testing.T) {
@@ -112,7 +146,7 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(EncodeTrace(nil))
 	huge := append([]byte(nil), traceMagic[:]...)
 	huge = append(huge, TraceWireVersion)
-	f.Add(appendUvarint(huge, ^uint64(0))) // op count 2^64-1
+	f.Add(wire.AppendUvarint(huge, ^uint64(0))) // op count 2^64-1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeTrace(data)
 		if err != nil {
@@ -126,4 +160,55 @@ func FuzzDecodeTrace(f *testing.F) {
 			t.Fatalf("round trip changed the trace:\n%s\n->\n%s", tr, again)
 		}
 	})
+}
+
+// TestHostileTraceReplay feeds traces a peer could ship through the
+// codec and replays whatever DecodeTrace accepts on a fresh boot, as a
+// fleet worker does with a pulled corpus entry. Each must either be
+// rejected at decode or replay without a panic.
+func TestHostileTraceReplay(t *testing.T) {
+	// vm boots VM handle 1 with one initialised vCPU, so the hostile op
+	// that follows reaches the hypercall it targets.
+	vm := func(ops ...Op) []Op {
+		return append([]Op{
+			{Kind: OpInitVM, Nr: 1, H: 1},
+			{Kind: OpInitVCPU, H: 1},
+		}, ops...)
+	}
+	badProg := func(in hyp.Insn) []Op {
+		return vm(
+			Op{Kind: OpLoadProgram, H: 1, Prog: []hyp.Insn{in}},
+			Op{Kind: OpLoad, H: 1},
+			Op{Kind: OpRun},
+		)
+	}
+	for _, tc := range []struct {
+		name     string
+		ops      []Op
+		rejected bool // DecodeTrace must refuse it
+	}{
+		{"share on cpu 1<<20", []Op{{Kind: OpShare, CPU: 1 << 20, PFN: 0x81000}}, false},
+		{"share on cpu -3", []Op{{Kind: OpShare, CPU: -3, PFN: 0x81000}}, false},
+		{"hvc on cpu 99", []Op{{Kind: OpHVCRaw, CPU: 99, HC: hyp.HCHostShareHyp}}, false},
+		{"fault on cpu -1", []Op{{Kind: OpFaultAgain, CPU: -1, PFN: 0x81000}}, false},
+		{"guest dst register 16", badProg(hyp.Insn{Dst: arch.NumGPRs}), true},
+		{"guest src register -1", badProg(hyp.Insn{Src: -1}), true},
+		{"topup of 0 pages", vm(Op{Kind: OpTopup, H: 1, Nr: 0}), false},
+		{"topup of 1<<40 pages", vm(Op{Kind: OpTopup, H: 1, Nr: 1 << 40}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := DecodeTrace(EncodeTrace(&Trace{Ops: tc.ops}))
+			if (err != nil) != tc.rejected {
+				t.Fatalf("DecodeTrace err = %v, want rejected=%v", err, tc.rejected)
+			}
+			if err != nil {
+				return
+			}
+			hv, err := hyp.New(hyp.Config{})
+			if err != nil {
+				t.Fatalf("boot: %v", err)
+			}
+			Replay(proxy.New(hv), tr)
+		})
+	}
 }

@@ -57,9 +57,6 @@ func DisableRankCheck() {
 	heldMu.Unlock()
 }
 
-// RankCheckEnabled reports whether the validator is active.
-func RankCheckEnabled() bool { return rankCheckOn.Load() }
-
 // noteAcquire validates and records an acquisition by the calling
 // goroutine. It runs before the lock is actually taken so a rank
 // inversion panics at the guilty call site instead of deadlocking

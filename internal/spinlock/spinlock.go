@@ -109,9 +109,6 @@ func NewRanked(component string, rank int, hooks *Hooks) *Lock {
 	return l
 }
 
-// Rank returns the lock's declared rank (0 if unranked).
-func (l *Lock) Rank() int { return l.rank }
-
 // name returns the component name, or a placeholder for zero-value
 // locks, for panic messages.
 func (l *Lock) name() string {
