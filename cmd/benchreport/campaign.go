@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"ghostspec/internal/campaign"
@@ -16,9 +17,10 @@ import (
 // workers) with copy-on-write snapshots on, plus a serial leg with
 // snapshots off (fresh boot + full parent replay per exec — the old
 // execution model, kept as the ablation baseline). The throughputs
-// land in a JSON artifact next to the ghost-bench numbers.
+// land in a JSON artifact.
 //
-// Two gates make this a regression test rather than a report:
+// Gates make this a regression test rather than a report (the fleet
+// leg adds its own, see fleet.go; campaignVerdict judges them all):
 //
 //   - the snapshot speedup (serial snap-on / serial snap-off) must
 //     clear snapshotSpeedupFloor, or Pass=false and the run exits
@@ -104,9 +106,11 @@ type campaignBenchReport struct {
 	SnapshotSpeedup      float64 `json:"snapshot_speedup"`
 	SpeedupFloor         float64 `json:"snapshot_speedup_floor"`
 	// Fleet is the distributed-campaign leg: coordinator + N workers
-	// over loopback HTTP, gated on coordination overhead.
+	// over loopback HTTP, gated on coordination overhead and dedup
+	// accounting.
 	Fleet *fleetBench `json:"fleet,omitempty"`
-	Pass  bool        `json:"pass"`
+	// Pass is campaignVerdict's: true when no gate fails.
+	Pass bool `json:"pass"`
 }
 
 func runCampaignBench(path string, execs int64) error {
@@ -199,16 +203,14 @@ func runCampaignBench(path string, execs int64) error {
 	if report.SerialOff.ExecsPerSec > 0 {
 		report.SnapshotSpeedup = report.Serial.ExecsPerSec / report.SerialOff.ExecsPerSec
 	}
-	report.Pass = report.SnapshotSpeedup >= snapshotSpeedupFloor
 	fmt.Printf("  snapshot speedup (serial on/off): %.2fx (floor %.2fx)\n",
 		report.SnapshotSpeedup, snapshotSpeedupFloor)
 
-	fleetRep, err := runFleetBench(execs)
-	if err != nil {
+	if report.Fleet, err = runFleetBench(execs); err != nil {
 		return err
 	}
-	report.Fleet = fleetRep
-	report.Pass = report.Pass && fleetRep.Pass
+	violations := campaignVerdict(&report)
+	report.Pass = len(violations) == 0
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -219,12 +221,34 @@ func runCampaignBench(path string, execs int64) error {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", path)
-	if report.SnapshotSpeedup < snapshotSpeedupFloor {
-		return fmt.Errorf("snapshot speedup %.2fx below floor %.2fx",
-			report.SnapshotSpeedup, snapshotSpeedupFloor)
-	}
-	if !report.Pass {
-		return fmt.Errorf("fleet leg failed its gates (see %s)", path)
+	if len(violations) > 0 {
+		return fmt.Errorf("campaign benchmark failed its gates: %s", strings.Join(violations, "; "))
 	}
 	return nil
+}
+
+// campaignVerdict lists every gate the report fails; none means it
+// passes. The gates: the snapshot speedup clears snapshotSpeedupFloor,
+// the fleet's coordination efficiency clears fleetEfficiencyFloor, and
+// the dedup demo both found something and accounts for every report
+// (reported = unique + duplicate).
+func campaignVerdict(r *campaignBenchReport) []string {
+	var v []string
+	if r.SnapshotSpeedup < snapshotSpeedupFloor {
+		v = append(v, fmt.Sprintf("snapshot speedup %.2fx below floor %.2fx",
+			r.SnapshotSpeedup, snapshotSpeedupFloor))
+	}
+	f := r.Fleet
+	if f.CoordinationEfficiency < fleetEfficiencyFloor {
+		v = append(v, fmt.Sprintf("coordination efficiency %.2f below floor %.2f",
+			f.CoordinationEfficiency, fleetEfficiencyFloor))
+	}
+	if f.Dedup.FindingsUnique == 0 {
+		v = append(v, fmt.Sprintf("dedup demo found nothing with %s injected", f.DedupBug))
+	}
+	if int64(f.Dedup.FindingsUnique)+f.Dedup.FindingsDuplicate != f.Dedup.FindingsReported {
+		v = append(v, fmt.Sprintf("dedup accounting broken: %d unique + %d duplicate != %d reported",
+			f.Dedup.FindingsUnique, f.Dedup.FindingsDuplicate, f.Dedup.FindingsReported))
+	}
+	return v
 }

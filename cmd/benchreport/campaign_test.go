@@ -1,0 +1,58 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// passingCampaignReport is a synthetic -campaign report that clears
+// every gate, with the fleet dedup demo's figures from the committed
+// BENCH_campaign.json.
+func passingCampaignReport() campaignBenchReport {
+	return campaignBenchReport{
+		SnapshotSpeedup: 1.5,
+		Fleet: &fleetBench{
+			CoordinationEfficiency: 0.95,
+			Dedup: fleetLeg{
+				FindingsReported:  256,
+				FindingsDuplicate: 227,
+				FindingsUnique:    29,
+			},
+			DedupBug: string(fleetDedupBug),
+		},
+	}
+}
+
+// TestCampaignVerdict judges synthetic reports: the passing one has no
+// violations, and each failing case trips exactly the gate it breaks.
+func TestCampaignVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		edit   func(*campaignBenchReport)
+		wantIn string // "" means the report must pass
+	}{
+		{"passing", func(*campaignBenchReport) {}, ""},
+		{"speedup at the floor", func(r *campaignBenchReport) { r.SnapshotSpeedup = snapshotSpeedupFloor }, ""},
+		{"efficiency at the floor", func(r *campaignBenchReport) { r.Fleet.CoordinationEfficiency = fleetEfficiencyFloor }, ""},
+		{"snapshot speedup 1.19x", func(r *campaignBenchReport) { r.SnapshotSpeedup = 1.19 }, "snapshot speedup"},
+		{"efficiency 0.89", func(r *campaignBenchReport) { r.Fleet.CoordinationEfficiency = 0.89 }, "coordination efficiency"},
+		{"dedup mismatch", func(r *campaignBenchReport) { r.Fleet.Dedup.FindingsDuplicate-- }, "dedup accounting"},
+		{"dedup overcount", func(r *campaignBenchReport) { r.Fleet.Dedup.FindingsUnique++ }, "dedup accounting"},
+		{"zero findings", func(r *campaignBenchReport) { r.Fleet.Dedup = fleetLeg{} }, "found nothing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := passingCampaignReport()
+			tc.edit(&r)
+			v := campaignVerdict(&r)
+			if tc.wantIn == "" {
+				if len(v) != 0 {
+					t.Fatalf("want pass, got %q", v)
+				}
+				return
+			}
+			if len(v) != 1 || !strings.Contains(v[0], tc.wantIn) {
+				t.Fatalf("want one violation mentioning %q, got %q", tc.wantIn, v)
+			}
+		})
+	}
+}

@@ -31,7 +31,8 @@ import (
 // fault (unshare leaves the hyp mapping behind) so the report records
 // finding dedup in action: every worker minimizes its own repro, the
 // coordinator collapses canonically-equal traces, and the leg gates
-// that at least one unique finding survived with reported >= unique.
+// that at least one unique finding survived with reported = unique +
+// duplicate.
 
 const (
 	// fleetEfficiencyFloor gates fleet-of-2 aggregate throughput
@@ -106,7 +107,6 @@ type fleetBench struct {
 	// Dedup is the injected-fault demo leg; DedupBug names the fault.
 	Dedup    fleetLeg `json:"dedup_demo"`
 	DedupBug string   `json:"dedup_bug"`
-	Pass     bool     `json:"pass"`
 }
 
 // runFleetLeg boots a coordinator on a loopback listener, runs N
@@ -267,30 +267,17 @@ func runFleetBench(execs int64) (*fleetBench, error) {
 	fmt.Printf("  coordination efficiency (fleet_2 / standalone pair): %.2f (floor %.2f)\n",
 		rep.CoordinationEfficiency, fleetEfficiencyFloor)
 
-	// Dedup demo: same fleet shape, fault injected. The gate is the
-	// dedup invariant (at least one unique finding, uniques never
-	// exceed reports), not the duplicate count — whether two seed
-	// streams minimize to the same canonical trace within a small
-	// budget is luck; when they do, the collapse shows up in the
-	// recorded duplicate counter.
+	// Dedup demo: same fleet shape, fault injected. campaignVerdict
+	// gates the dedup invariant (at least one unique finding, every
+	// report either unique or a duplicate), not the duplicate count —
+	// whether two seed streams minimize to the same canonical trace
+	// within a small budget is luck; when they do, the collapse shows
+	// up in the recorded duplicate counter.
 	if rep.Dedup, err = runFleetLeg(2, execs, []string{string(fleetDedupBug)}); err != nil {
 		return nil, err
 	}
 	fmt.Printf("  dedup demo (%s): %d reported, %d duplicate, %d unique\n",
 		rep.DedupBug, rep.Dedup.FindingsReported, rep.Dedup.FindingsDuplicate,
 		rep.Dedup.FindingsUnique)
-	if rep.Dedup.FindingsUnique == 0 {
-		return nil, fmt.Errorf("dedup demo found nothing with %v injected", fleetDedupBug)
-	}
-	if int64(rep.Dedup.FindingsUnique)+rep.Dedup.FindingsDuplicate != rep.Dedup.FindingsReported {
-		return nil, fmt.Errorf("dedup accounting broken: %d unique + %d duplicate != %d reported",
-			rep.Dedup.FindingsUnique, rep.Dedup.FindingsDuplicate, rep.Dedup.FindingsReported)
-	}
-
-	rep.Pass = rep.CoordinationEfficiency >= fleetEfficiencyFloor
-	if !rep.Pass {
-		fmt.Printf("  FAIL: coordination efficiency %.2f below floor %.2f\n",
-			rep.CoordinationEfficiency, fleetEfficiencyFloor)
-	}
 	return rep, nil
 }

@@ -5,9 +5,13 @@
 //	benchreport                        # all experiments
 //	benchreport -exp E4                # one experiment
 //	benchreport -telemetry snap.json   # summarise a pkvm-sim -metrics dump
-//	benchreport -ghost-bench out.json  # benchmark smoke run -> JSON artifact
-//	benchreport -campaign out.json     # campaign engine serial vs 8 workers -> JSON artifact
-//	benchreport -profile out.json      # traced campaign -> per-exec phase attribution + overhead gates
+//	benchreport -campaign out.json     # snapshot and fleet ablations -> JSON artifact + gates
+//
+// The oracle-on vs oracle-off cost at campaign op mix, the per-group
+// self time and the span attribution are perfbench's (see
+// BENCHMARK.json); the abstraction-cache, attribution and
+// tracing-overhead gates are ordinary tests (TestCacheOutcomes,
+// TestExecPhasesAttributeExecTime, TestTraceGatedPathDoesNoWork).
 package main
 
 import (
@@ -32,28 +36,9 @@ func main() {
 	randSteps := flag.Int("rand-steps", 20000, "random-campaign steps for E3")
 	reps := flag.Int("reps", 5, "timing repetitions for E7")
 	telemetryFile := flag.String("telemetry", "", "telemetry snapshot JSON (from pkvm-sim -metrics json) to summarise")
-	ghostBench := flag.String("ghost-bench", "", "run the ghost benchmark smoke set and write results to this JSON file")
-	campaignBench := flag.String("campaign", "", "benchmark the campaign engine (serial and 8 workers with snapshots, serial without) and write results to this JSON file; fails on speedup-floor or conformance regressions")
+	campaignBench := flag.String("campaign", "", "benchmark the campaign engine (serial and 8 workers with snapshots, serial without) and write results to this JSON file; fails on speedup-floor, fleet-efficiency, dedup or conformance regressions")
 	campaignExecs := flag.Int64("campaign-execs", 256, "executions per campaign benchmark leg")
-	profile := flag.String("profile", "", "run a traced campaign, write the per-exec phase-attribution profile to this JSON file, and enforce the attribution/overhead gates")
-	profileTrace := flag.String("profile-trace", "", "with -profile: also write the campaign's span dump as Chrome trace-event JSON to this file")
 	flag.Parse()
-
-	if *profile != "" {
-		if err := runProfile(*profile, *profileTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "profile:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ghostBench != "" {
-		if err := runGhostBench(*ghostBench); err != nil {
-			fmt.Fprintln(os.Stderr, "ghost-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *campaignBench != "" {
 		if err := runCampaignBench(*campaignBench, *campaignExecs); err != nil {

@@ -34,9 +34,10 @@ import (
 
 // Execution phase spans. Each worker is one tracer lane, so one exec's
 // phases nest under its exec span and never interleave with another
-// worker's. The phase set is the disjoint cover benchreport -profile
-// attributes exec wall time against: boot, parent replay, generation,
-// coverage accounting, shrinking.
+// worker's. The phase set is a disjoint cover of exec wall time: boot,
+// restore (snapshot.go), parent replay, generation, coverage
+// accounting, shrinking. TestExecPhasesAttributeExecTime pins that
+// cover at ≥80% of exec time.
 var (
 	spanExec       = trace.NewName("exec")
 	spanExecBoot   = trace.NewName("exec.boot")
@@ -585,10 +586,10 @@ func (e *Engine) worker(w int) {
 }
 
 // runOne executes one input, under the exec span with one child span
-// per phase — the attribution benchreport -profile measures. With a
-// worksys the system is rewound (forking straight into the parent's
-// end state when its snapshot is available); without one it is a
-// fresh boot plus a full parent replay.
+// per phase — the attribution TestExecPhasesAttributeExecTime pins.
+// With a worksys the system is rewound (forking straight into the
+// parent's end state when its snapshot is available); without one it
+// is a fresh boot plus a full parent replay.
 func (e *Engine) runOne(w int, in input, ws *worksys) {
 	sp := e.tracer.Begin(w, spanExec)
 	defer sp.End()

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"testing"
+	"time"
 
 	"ghostspec/internal/faults"
+	"ghostspec/internal/telemetry/trace"
 )
 
 // TestCampaignCleanNoFindings runs a short parallel campaign on the
@@ -98,5 +100,58 @@ func TestCampaignParallelWorkers(t *testing.T) {
 	}
 	if rep.Execs < 12 {
 		t.Errorf("execs = %d, want >= 12", rep.Execs)
+	}
+}
+
+// TestExecPhasesAttributeExecTime pins the phase spans as a disjoint
+// cover of exec wall time. A traced single-worker campaign on the
+// fixed build, with rings sized to keep every span, must attribute at
+// least 80% of exec time plus the once-per-worker root boots to the
+// phase spans: less means an expensive stage runs outside any phase.
+// More than 100% means a phase is counted against a base that never
+// saw it. Dropped spans would make the figure partial, and a finding
+// would skew the shrink phase, so both fail the test too.
+func TestExecPhasesAttributeExecTime(t *testing.T) {
+	const floorPct, ceilingPct = 80.0, 100.0
+	tr := trace.NewTracer(1, 1<<18)
+	prev := trace.Enabled()
+	trace.SetEnabled(true)
+	rep, err := Run(Config{Workers: 1, StepsPerRun: 200, Seed: 1, MaxExecs: 32, Tracer: tr})
+	trace.SetEnabled(prev)
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	if len(rep.Findings) != 0 {
+		t.Fatalf("clean build produced %d findings; first: %v",
+			len(rep.Findings), rep.Findings[0].Failures[0])
+	}
+	if n := tr.Dropped(); n != 0 {
+		t.Fatalf("%d spans dropped at the rings: attribution would be partial", n)
+	}
+
+	var base, attributed time.Duration
+	for _, s := range tr.Spans() {
+		switch s.Name {
+		case spanExec:
+			base += s.Dur
+		case spanExecBoot:
+			// Worker-system boots are root spans outside any exec, so
+			// they belong to the base as well as to the boot phase.
+			if s.Parent < 0 {
+				base += s.Dur
+			}
+			attributed += s.Dur
+		case spanExecRestore, spanExecReplay, spanExecRun, spanExecCorpus, spanExecShrink:
+			attributed += s.Dur
+		}
+	}
+	if base == 0 {
+		t.Fatal("no exec spans recorded")
+	}
+	pct := 100 * float64(attributed) / float64(base)
+	t.Logf("phase spans attribute %.2f%% of %v (exec + root boots)", pct, base)
+	if pct < floorPct || pct > ceilingPct {
+		t.Errorf("phase spans attribute %.2f%% of exec time, want within [%.0f%%, %.0f%%]",
+			pct, floorPct, ceilingPct)
 	}
 }

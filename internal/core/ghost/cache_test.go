@@ -29,7 +29,9 @@ func mustMatchFull(t *testing.T, c *PgtableCache, tbl *pgtable.Table, when strin
 
 // TestCacheOutcomes: a cold cache walks fully, an unchanged table
 // hits, a leaf-level write re-walks partially — and each outcome's
-// abstraction matches the full recompute.
+// abstraction matches the full recompute. The partial re-walk must
+// also interpret strictly fewer table pages than the cold full walk:
+// the work the cache exists to save, counted rather than timed.
 func TestCacheOutcomes(t *testing.T) {
 	tbl := buildRandomTable(t, 7)
 	var c PgtableCache
@@ -37,6 +39,7 @@ func TestCacheOutcomes(t *testing.T) {
 	if _, outcome := c.Interpret(tbl.Mem, tbl.Root()); outcome != CacheFull {
 		t.Fatalf("cold interpret: outcome %v, want full", outcome)
 	}
+	fullPages := c.Stats().PagesWalked
 	mustMatchFull(t, &c, tbl, "after cold walk")
 
 	if _, outcome := c.Interpret(tbl.Mem, tbl.Root()); outcome != CacheHit {
@@ -63,8 +66,13 @@ func TestCacheOutcomes(t *testing.T) {
 	if err := tbl.Map(leafIA, arch.PageSize, arch.PhysAddr(0x7770000), attrs, true); err != nil {
 		t.Fatal(err)
 	}
+	before := c.Stats().PagesWalked
 	if _, outcome := c.Interpret(tbl.Mem, tbl.Root()); outcome != CachePartial {
 		t.Fatalf("after leaf rewrite: outcome %v, want partial", outcome)
+	}
+	if partialPages := c.Stats().PagesWalked - before; partialPages >= fullPages {
+		t.Errorf("partial re-walk interpreted %d table pages, cold full walk %d: want strictly fewer",
+			partialPages, fullPages)
 	}
 	mustMatchFull(t, &c, tbl, "after leaf rewrite")
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ghostspec/internal/arch"
+	"ghostspec/internal/core/ghost"
 	"ghostspec/internal/hyp"
 	"ghostspec/internal/proxy"
 	"ghostspec/internal/wire"
@@ -162,11 +163,17 @@ func FuzzDecodeTrace(f *testing.F) {
 	})
 }
 
-// TestHostileTraceReplay feeds traces a peer could ship through the
-// codec and replays whatever DecodeTrace accepts on a fresh boot, as a
-// fleet worker does with a pulled corpus entry. Each must either be
-// rejected at decode or replay without a panic.
-func TestHostileTraceReplay(t *testing.T) {
+// hostileTrace is a trace a peer could ship through the codec, and
+// whether DecodeTrace must refuse it.
+type hostileTrace struct {
+	name     string
+	ops      []Op
+	rejected bool
+}
+
+// hostileTraces are the decode-and-replay cases that crashed a replay
+// before the decoder and Replay were hardened.
+func hostileTraces() []hostileTrace {
 	// vm boots VM handle 1 with one initialised vCPU, so the hostile op
 	// that follows reaches the hypercall it targets.
 	vm := func(ops ...Op) []Op {
@@ -182,11 +189,7 @@ func TestHostileTraceReplay(t *testing.T) {
 			Op{Kind: OpRun},
 		)
 	}
-	for _, tc := range []struct {
-		name     string
-		ops      []Op
-		rejected bool // DecodeTrace must refuse it
-	}{
+	return []hostileTrace{
 		{"share on cpu 1<<20", []Op{{Kind: OpShare, CPU: 1 << 20, PFN: 0x81000}}, false},
 		{"share on cpu -3", []Op{{Kind: OpShare, CPU: -3, PFN: 0x81000}}, false},
 		{"hvc on cpu 99", []Op{{Kind: OpHVCRaw, CPU: 99, HC: hyp.HCHostShareHyp}}, false},
@@ -195,7 +198,15 @@ func TestHostileTraceReplay(t *testing.T) {
 		{"guest src register -1", badProg(hyp.Insn{Src: -1}), true},
 		{"topup of 0 pages", vm(Op{Kind: OpTopup, H: 1, Nr: 0}), false},
 		{"topup of 1<<40 pages", vm(Op{Kind: OpTopup, H: 1, Nr: 1 << 40}), false},
-	} {
+	}
+}
+
+// TestHostileTraceReplay feeds hostileTraces through the codec and
+// replays whatever DecodeTrace accepts on a fresh boot, as a fleet
+// worker does with a pulled corpus entry. Each must either be rejected
+// at decode or replay without a panic.
+func TestHostileTraceReplay(t *testing.T) {
+	for _, tc := range hostileTraces() {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := DecodeTrace(EncodeTrace(&Trace{Ops: tc.ops}))
 			if (err != nil) != tc.rejected {
@@ -211,4 +222,28 @@ func TestHostileTraceReplay(t *testing.T) {
 			Replay(proxy.New(hv), tr)
 		})
 	}
+}
+
+// FuzzReplayDecodedTrace replays whatever DecodeTrace accepts on a
+// fresh boot with the oracle attached, as a fleet worker replays a
+// pulled corpus entry: no accepted trace may panic the hypervisor,
+// the oracle or the replayer. Oracle alarms are not failures here; a
+// hostile trace may well drive the system somewhere the spec rejects.
+func FuzzReplayDecodedTrace(f *testing.F) {
+	f.Add(EncodeTrace(wireSampleTrace()))
+	for _, tc := range hostileTraces() {
+		f.Add(EncodeTrace(&Trace{Ops: tc.ops}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data)
+		if err != nil {
+			return
+		}
+		hv, err := hyp.New(hyp.Config{})
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		ghost.Attach(hv)
+		Replay(proxy.New(hv), tr)
+	})
 }
