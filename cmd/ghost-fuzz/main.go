@@ -155,7 +155,7 @@ func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
 		if lanes <= 0 {
 			lanes = runtime.GOMAXPROCS(0)
 		}
-		tr = trace.NewTracer(lanes, 1<<14)
+		tr = trace.NewTracer(lanes, spanRingDepth(cfg, lanes))
 		trace.SetEnabled(true)
 		cfg.Tracer = tr
 	}
@@ -239,6 +239,31 @@ func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
 		}
 	}
 	return 1
+}
+
+// spansPerStep bounds the spans one generator step records: the trap,
+// the oracle's spans inside it, and the page-table and TLB spans below
+// them. A 32-exec, 200-step campaign on the fixed build records about
+// 3.6 per step; the bound leaves room for shrink replays and for
+// workers taking uneven shares of the exec budget.
+const spansPerStep = 8
+
+// maxSpanRingDepth caps one lane's ring at 2^21 spans (96 MiB at 48
+// bytes a span). A run past the cap keeps its newest spans and reports
+// how many it dropped.
+const maxSpanRingDepth = 1 << 21
+
+// spanRingDepth sizes each lane's span ring. With an exec budget the
+// ring holds the whole run, so a -trace-out dump is complete; without
+// one (a -duration run, or live /spans introspection) it keeps the most
+// recent 2^14 spans.
+func spanRingDepth(cfg campaign.Config, lanes int) int {
+	const recent = 1 << 14
+	if cfg.MaxExecs <= 0 {
+		return recent
+	}
+	perLane := cfg.MaxExecs*int64(max(cfg.StepsPerRun, 1))*spansPerStep/int64(lanes) + recent
+	return int(min(perLane, maxSpanRingDepth))
 }
 
 // writeChromeTrace dumps the tracer's spans as Chrome trace-event

@@ -1,8 +1,8 @@
 package ghost
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,12 +15,25 @@ import (
 // to re-interpret each component's full 4-level table on every lock
 // acquire and release — the dominant term of the ghost overhead the
 // paper measures in §6. But a table's meaning only changes where
-// descriptors are written, so the cache keys the interpreted
-// Mapping/Footprint on (root, per-table-page write generations from
-// arch.Memory) and on each hook re-walks only the subtrees under table
-// pages whose generation moved, splicing the re-interpreted ranges
-// into the cached mapping. A write to the root page, or a root change,
-// falls back to a full walk.
+// descriptors are written, so the cache keeps the interpreted
+// Mapping/Footprint together with, for every table page of the tree,
+// its write generation from arch.Memory and a copy of its 512
+// descriptors as last read.
+//
+// On each hook, a table page whose generation moved is re-read and
+// diffed against that copy, entry by entry. A changed entry that is
+// and was a leaf (block, page, annotation or invalid) changes exactly
+// its own input range, so it is applied to the cached mapping as one
+// in-place Set or Remove, and the footprint stays as it is. Only a
+// table descriptor that appears, disappears or moves changes the
+// tree's shape; that table page's subtree is then re-walked and
+// spliced in. A write to the root page, or a root change, falls back
+// to a full walk.
+//
+// The measured shape makes the per-entry path the one that matters:
+// in the default fuzz campaign a component's mapping is about 67
+// maplets, nearly all under one level-3 table page, and a lock event
+// changes one or two of its descriptors.
 //
 // The walker here is deliberately a separate implementation from
 // InterpretPgtable: the Recorder's VerifyCache mode runs both side by
@@ -34,8 +47,10 @@ const (
 	// CacheHit: no cached table page changed; the stored abstraction
 	// was returned as is.
 	CacheHit CacheOutcome = iota
-	// CachePartial: some table pages changed; only their subtrees were
-	// re-interpreted and spliced into the stored abstraction.
+	// CachePartial: some table pages changed; their changed leaf
+	// entries were patched into the stored abstraction, and only the
+	// subtrees of pages whose table descriptors changed were
+	// re-interpreted and spliced in.
 	CachePartial
 	// CacheFull: first use, a different root, or a write to the root
 	// page itself — the whole tree was re-interpreted.
@@ -44,18 +59,19 @@ const (
 
 // cachedTable is the cache's record of one table page: where its
 // generation counter lives, the generation observed before the last
-// read of its entries, and the position (level, covered input-address
-// base) it occupied in the tree.
+// read of its entries, those entries as read, and the position (level,
+// covered input-address base) it occupied in the tree.
 //
 // Observing the generation before reading the entries pairs with
 // Memory bumping it after each store: a racing writer can at worst
-// make fresh data look stale (forcing a needless re-walk later),
+// make fresh data look stale (forcing a needless re-read later),
 // never stale data look fresh.
 type cachedTable struct {
 	gen    *atomic.Uint64
 	seen   uint64
 	level  int
 	vaBase uint64
+	frame  arch.Frame
 }
 
 // tableSpan returns the bytes of input-address space covered by one
@@ -96,6 +112,10 @@ type PgtableCache struct {
 	tables map[arch.PFN]*cachedTable
 	abs    AbstractPgtable
 	stats  CacheStats
+	// spare holds the records of table pages dropped from the tree;
+	// walks reuse them, so a re-walk does not allocate a fresh 4 KiB
+	// entry copy for every page it visits.
+	spare []*cachedTable
 }
 
 // Interpret returns the abstraction of the table rooted at root,
@@ -111,19 +131,15 @@ func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPg
 	}
 
 	rootPFN := arch.PhysToPFN(root)
-	type dirtyTable struct {
-		pfn arch.PFN
-		t   *cachedTable
-	}
 	var dirty []dirtyTable
 	for pfn, t := range c.tables {
 		if t.gen.Load() != t.seen {
 			if pfn == rootPFN {
 				// The root's entries each select a whole 512GB subtree;
-				// incremental splicing buys nothing there.
+				// incremental patching buys nothing there.
 				return c.rebuild(m, root), CacheFull
 			}
-			dirty = append(dirty, dirtyTable{pfn, t})
+			dirty = append(dirty, dirtyTable{pfn: pfn, level: t.level, vaBase: t.vaBase, t: t})
 		}
 	}
 	if len(dirty) == 0 {
@@ -134,31 +150,34 @@ func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPg
 		return c.abs.Clone(), CacheHit
 	}
 
-	// Keep only the top dirty subtrees: shallowest first, then drop any
-	// dirty table lying inside an earlier top's span. Structural
-	// changes (detach, free, frame reuse) always write a still-live
-	// ancestor table, so every stale cache entry is covered by some
-	// live top — and a covering top is strictly shallower, which the
-	// (level, vaBase) sort order guarantees we meet first.
-	sort.Slice(dirty, func(i, j int) bool {
-		if dirty[i].t.level != dirty[j].t.level {
-			return dirty[i].t.level < dirty[j].t.level
+	// Shallowest first. A dirty table inside the span of a table whose
+	// structure changed is re-walked with it; it may be stale (freed,
+	// reused, or moved), so its own entries are never trusted.
+	// Structural changes (detach, free, frame reuse) always write a
+	// still-live ancestor's table descriptor, so every stale entry is
+	// covered by such a top — and a covering top is strictly
+	// shallower, which the (level, vaBase) order guarantees we meet
+	// first. Every other dirty table is live at its cached position,
+	// and its changed leaf entries are patched in place.
+	slices.SortFunc(dirty, func(a, b dirtyTable) int {
+		if a.level != b.level {
+			return a.level - b.level
 		}
-		return dirty[i].t.vaBase < dirty[j].t.vaBase
+		return cmp.Compare(a.vaBase, b.vaBase)
 	})
 	var tops []dirtyTable
 	for _, d := range dirty {
-		contained := false
-		for _, top := range tops {
-			if top.t.level < d.t.level &&
-				d.t.vaBase >= top.t.vaBase && d.t.vaBase < top.t.vaBase+tableSpan(top.t.level) {
-				contained = true
-				break
-			}
+		if coveredBy(tops, d.t) {
+			continue
 		}
-		if !contained {
+		seen := d.t.gen.Load()
+		fresh := m.ReadFrame(d.pfn.Phys())
+		if structureChanged(&d.t.frame, &fresh, d.level) {
 			tops = append(tops, d)
+			continue
 		}
+		c.patch(d.t, &fresh)
+		d.t.seen = seen
 	}
 
 	// Drop every cached entry inside a span about to be re-walked —
@@ -166,10 +185,10 @@ func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPg
 	// linger. All deletions happen before any re-walk, so entries the
 	// walks re-add survive.
 	for _, top := range tops {
-		lo, hi := top.t.vaBase, top.t.vaBase+tableSpan(top.t.level)
 		for pfn, t := range c.tables {
-			if t.level >= top.t.level && t.vaBase >= lo && t.vaBase < hi {
+			if t.level >= top.level && top.spans(t.vaBase) {
 				delete(c.tables, pfn)
+				c.spare = append(c.spare, t)
 			}
 		}
 	}
@@ -178,11 +197,13 @@ func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPg
 	for _, top := range tops {
 		var sub AbstractPgtable
 		sub.Mapping.Grow(32)
-		pages += interpretCached(m, top.pfn.Phys(), top.t.level, top.t.vaBase, &sub, c.tables)
-		c.abs.Mapping.SpliceRange(top.t.vaBase, tableSpan(top.t.level)>>arch.PageShift,
+		pages += c.walk(m, top.pfn.Phys(), top.level, top.vaBase, &sub)
+		c.abs.Mapping.SpliceRange(top.vaBase, tableSpan(top.level)>>arch.PageShift,
 			sub.Mapping.Maplets())
 	}
-	c.abs.Footprint = footprintOf(c.tables)
+	if len(tops) > 0 {
+		c.abs.Footprint = footprintOf(c.tables)
+	}
 
 	c.stats.PartialWalks++
 	c.stats.PagesWalked += uint64(pages)
@@ -193,14 +214,85 @@ func (c *PgtableCache) Interpret(m *arch.Memory, root arch.PhysAddr) (AbstractPg
 	return c.abs.Clone(), CachePartial
 }
 
+// dirtyTable is a cached table page whose generation moved, with the
+// position it had in the tree. The position is copied out because a
+// re-walk may recycle the record t points to.
+type dirtyTable struct {
+	pfn    arch.PFN
+	level  int
+	vaBase uint64
+	t      *cachedTable
+}
+
+// spans reports whether va lies in the input range d's page covers.
+func (d dirtyTable) spans(va uint64) bool {
+	return va >= d.vaBase && va < d.vaBase+tableSpan(d.level)
+}
+
+// coveredBy reports whether t lies strictly below one of tops.
+func coveredBy(tops []dirtyTable, t *cachedTable) bool {
+	for _, top := range tops {
+		if top.level < t.level && top.spans(t.vaBase) {
+			return true
+		}
+	}
+	return false
+}
+
+// structureChanged reports whether any entry that differs between the
+// two reads of a table page at the given level is, or was, a table
+// descriptor: the change then moves subtrees, not just leaf ranges.
+func structureChanged(old, fresh *arch.Frame, level int) bool {
+	for idx := range old {
+		if old[idx] != fresh[idx] &&
+			(old.PTE(idx).Kind(level) == arch.EKTable || fresh.PTE(idx).Kind(level) == arch.EKTable) {
+			return true
+		}
+	}
+	return false
+}
+
+// patch applies the leaf-entry changes between t's cached entries and
+// fresh to the cached mapping, one Set or Remove per changed entry,
+// then adopts fresh as t's cached entries. The caller has checked that
+// no changed entry is or was a table descriptor. Caller holds c.mu.
+func (c *PgtableCache) patch(t *cachedTable, fresh *arch.Frame) {
+	nrPages := arch.LevelPages(t.level)
+	shift := arch.LevelShift(t.level)
+	for idx := range fresh {
+		if t.frame[idx] == fresh[idx] {
+			continue
+		}
+		va := t.vaBase | uint64(idx)<<shift
+		pte := fresh.PTE(idx)
+		switch pte.Kind(t.level) {
+		case arch.EKBlock, arch.EKPage:
+			c.abs.Mapping.Set(va, nrPages, Mapped(pte.OutputAddr(t.level), pte.Attrs()))
+		case arch.EKAnnotated:
+			c.abs.Mapping.Set(va, nrPages, Annotated(pte.OwnerID()))
+		case arch.EKReserved:
+			c.abs.Mapping.Set(va, nrPages, Annotated(0xFF))
+		default: // arch.EKInvalid
+			c.abs.Mapping.Remove(va, nrPages)
+		}
+	}
+	t.frame = *fresh
+}
+
 // rebuild discards the cache and interprets the whole tree. Caller
 // holds c.mu.
 func (c *PgtableCache) rebuild(m *arch.Memory, root arch.PhysAddr) AbstractPgtable {
 	hint := c.abs.Mapping.NrMaplets()
-	c.tables = make(map[arch.PFN]*cachedTable)
+	if c.tables == nil {
+		c.tables = make(map[arch.PFN]*cachedTable)
+	}
+	for _, t := range c.tables {
+		c.spare = append(c.spare, t)
+	}
+	clear(c.tables)
 	c.abs = AbstractPgtable{}
 	c.abs.Mapping.Grow(hint)
-	n := interpretCached(m, root, arch.StartLevel, 0, &c.abs, c.tables)
+	n := c.walk(m, root, arch.StartLevel, 0, &c.abs)
 	c.abs.Footprint = footprintOf(c.tables)
 	c.root = root
 	c.valid = true
@@ -219,6 +311,7 @@ func (c *PgtableCache) Invalidate() {
 	c.mu.Lock()
 	c.valid = false
 	c.tables = nil
+	c.spare = nil
 	c.abs = AbstractPgtable{}
 	c.mu.Unlock()
 }
@@ -257,27 +350,35 @@ func (hc *hostCache) abstract(hv *hyp.Hypervisor) (Host, PageSet, error) {
 		full.Footprint, hc.violation
 }
 
-// interpretCached interprets the subtree rooted at the table page at
-// table (occupying the given level and input-address base), extending
-// out and recording each visited table page's generation — observed
-// before its entries are read — into tabs. Returns the number of
-// table pages visited.
-func interpretCached(m *arch.Memory, table arch.PhysAddr, level int, vaPartial uint64,
-	out *AbstractPgtable, tabs map[arch.PFN]*cachedTable) int {
+// walk interprets the subtree rooted at the table page at table
+// (occupying the given level and input-address base), extending out
+// and recording each visited table page's generation — observed
+// before its entries are read — and the entries themselves into
+// c.tables. Returns the number of table pages visited. Caller holds
+// c.mu.
+func (c *PgtableCache) walk(m *arch.Memory, table arch.PhysAddr, level int, vaPartial uint64, out *AbstractPgtable) int {
+	var t *cachedTable
+	if k := len(c.spare); k > 0 {
+		t, c.spare = c.spare[k-1], c.spare[:k-1]
+	} else {
+		t = new(cachedTable)
+	}
 	gen := m.FrameGenRef(table)
-	tabs[arch.PhysToPFN(table)] = &cachedTable{gen: gen, seen: gen.Load(), level: level, vaBase: vaPartial}
+	t.gen, t.seen, t.level, t.vaBase = gen, gen.Load(), level, vaPartial
+	c.tables[arch.PhysToPFN(table)] = t
 	n := 1
 	nrPages := arch.LevelPages(level)
 	shift := arch.LevelShift(level)
 	// One bulk frame copy instead of 512 per-slot lookups; the walk
-	// below then reads local memory.
-	frame := m.ReadFrame(table)
-	for idx := 0; idx < arch.PTEsPerTable; idx++ {
+	// below reads it, and it stays as the baseline the next re-read
+	// of this page diffs against.
+	t.frame = m.ReadFrame(table)
+	for idx := range t.frame {
 		vaNew := vaPartial | uint64(idx)<<shift
-		pte := frame.PTE(idx)
+		pte := t.frame.PTE(idx)
 		switch pte.Kind(level) {
 		case arch.EKTable:
-			n += interpretCached(m, pte.TableAddr(), level+1, vaNew, out, tabs)
+			n += c.walk(m, pte.TableAddr(), level+1, vaNew, out)
 		case arch.EKBlock, arch.EKPage:
 			out.Mapping.Extend(vaNew, nrPages, Mapped(pte.OutputAddr(level), pte.Attrs()))
 		case arch.EKAnnotated:

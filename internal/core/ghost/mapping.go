@@ -14,6 +14,7 @@ package ghost
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -211,8 +212,10 @@ func (m *Mapping) Extend(va uint64, nrPages uint64, t Target) {
 // Set overwrites [va, va+nrPages*4K) with the target, replacing
 // whatever was there — the specification functions' mapping_update.
 func (m *Mapping) Set(va uint64, nrPages uint64, t Target) {
-	m.Remove(va, nrPages)
-	m.insert(Maplet{VA: va, NrPages: nrPages, Target: t})
+	if nrPages == 0 {
+		return
+	}
+	m.replaceRange(va, va+nrPages<<arch.PageShift, []Maplet{{VA: va, NrPages: nrPages, Target: t}})
 }
 
 // Remove erases [va, va+nrPages*4K) from the mapping, splitting
@@ -221,64 +224,7 @@ func (m *Mapping) Remove(va uint64, nrPages uint64) {
 	if nrPages == 0 {
 		return
 	}
-	start, end := va, va+nrPages<<arch.PageShift
-	out := make([]Maplet, 0, len(m.maplets))
-	for _, ml := range m.maplets {
-		if ml.end() <= start || ml.VA >= end {
-			out = append(out, ml)
-			continue
-		}
-		// Left remainder.
-		if ml.VA < start {
-			out = append(out, Maplet{
-				VA:      ml.VA,
-				NrPages: (start - ml.VA) >> arch.PageShift,
-				Target:  ml.Target,
-			})
-		}
-		// Right remainder.
-		if ml.end() > end {
-			skip := (end - ml.VA) >> arch.PageShift
-			out = append(out, Maplet{
-				VA:      end,
-				NrPages: ml.NrPages - skip,
-				Target:  ml.Target.at(skip),
-			})
-		}
-	}
-	m.maplets = out
-	m.cow = false // out is freshly built, never shared
-}
-
-// insert adds a maplet that must not overlap anything present, then
-// re-establishes coalescing around it.
-func (m *Mapping) insert(nm Maplet) {
-	m.own()
-	i := sort.Search(len(m.maplets), func(i int) bool { return m.maplets[i].VA >= nm.VA })
-	m.maplets = append(m.maplets, Maplet{})
-	copy(m.maplets[i+1:], m.maplets[i:])
-	m.maplets[i] = nm
-	m.coalesceAround(i)
-}
-
-func (m *Mapping) coalesceAround(i int) {
-	// Merge with the previous maplet.
-	if i > 0 {
-		prev, cur := m.maplets[i-1], m.maplets[i]
-		if prev.end() == cur.VA && prev.Target.continues(prev.NrPages, cur.Target) {
-			m.maplets[i-1].NrPages += cur.NrPages
-			m.maplets = append(m.maplets[:i], m.maplets[i+1:]...)
-			i--
-		}
-	}
-	// Merge with the next.
-	if i+1 < len(m.maplets) {
-		cur, next := m.maplets[i], m.maplets[i+1]
-		if cur.end() == next.VA && cur.Target.continues(cur.NrPages, next.Target) {
-			m.maplets[i].NrPages += next.NrPages
-			m.maplets = append(m.maplets[:i+1], m.maplets[i+2:]...)
-		}
-	}
+	m.replaceRange(va, va+nrPages<<arch.PageShift, nil)
 }
 
 // SpliceRange replaces [va, va+nrPages*4K) wholesale with repl, whose
@@ -295,34 +241,73 @@ func (m *Mapping) SpliceRange(va uint64, nrPages uint64, repl []Maplet) {
 			panic(fmt.Sprintf("ghost: splice replacement %v outside [%#x,%#x) or out of order", ml, va, end))
 		}
 	}
-	m.Remove(va, nrPages) // leaves m uniquely owned
-	if len(repl) == 0 {
+	if nrPages == 0 {
 		return
 	}
-	i := sort.Search(len(m.maplets), func(i int) bool { return m.maplets[i].VA >= va })
-	grown := make([]Maplet, 0, len(m.maplets)+len(repl))
-	grown = append(grown, m.maplets[:i]...)
-	grown = append(grown, repl...)
-	grown = append(grown, m.maplets[i:]...)
-	m.maplets = grown
-	// Right joint first: merging it does not disturb indices at or
-	// below the left joint. Interior joints of repl are already
-	// coalesced by construction.
-	m.mergeAt(i + len(repl) - 1)
-	m.mergeAt(i - 1)
+	m.replaceRange(va, end, repl)
 }
 
-// mergeAt coalesces maplets[k] with maplets[k+1] when both exist and
-// continue each other.
-func (m *Mapping) mergeAt(k int) {
-	if k < 0 || k+1 >= len(m.maplets) {
+// replaceRange is the one editing primitive behind Set, Remove and
+// SpliceRange: it replaces [start, end) with repl (canonical, inside
+// the range) in place. Two binary searches find the maplets the range
+// cuts; the cut's left and right remainders, repl, and the untouched
+// neighbour on each side that might now coalesce form a short middle
+// run, which one slices.Replace writes over the old window. The only
+// whole-slice copy is the one a pending copy-on-write (see Clone)
+// forces.
+func (m *Mapping) replaceRange(start, end uint64, repl []Maplet) {
+	mls := m.maplets
+	// [i, j) are the maplets overlapping [start, end).
+	i := sort.Search(len(mls), func(k int) bool { return mls[k].end() > start })
+	j := i + sort.Search(len(mls)-i, func(k int) bool { return mls[i+k].VA >= end })
+	if i == j && len(repl) == 0 {
+		return // nothing there, nothing to add
+	}
+
+	var buf [8]Maplet
+	mid := buf[:0]
+	lo, hi := i, j
+	switch {
+	case i < j && mls[i].VA < start:
+		mid = append(mid, Maplet{VA: mls[i].VA, NrPages: (start - mls[i].VA) >> arch.PageShift, Target: mls[i].Target})
+	case i > 0:
+		lo = i - 1
+		mid = append(mid, mls[lo])
+	}
+	mid = append(mid, repl...)
+	switch {
+	case i < j && mls[j-1].end() > end:
+		skip := (end - mls[j-1].VA) >> arch.PageShift
+		mid = append(mid, Maplet{VA: end, NrPages: mls[j-1].NrPages - skip, Target: mls[j-1].Target.at(skip)})
+	case j < len(mls):
+		hi = j + 1
+		mid = append(mid, mls[j])
+	}
+	// Coalesce the joints. repl's interior is canonical already, so
+	// only the edges can merge, but one linear pass covers them all.
+	if len(mid) > 1 {
+		out := mid[:1]
+		for _, ml := range mid[1:] {
+			if last := &out[len(out)-1]; last.end() == ml.VA && last.Target.continues(last.NrPages, ml.Target) {
+				last.NrPages += ml.NrPages
+			} else {
+				out = append(out, ml)
+			}
+		}
+		mid = out
+	}
+
+	if m.cow {
+		// Build the edited copy directly instead of copying and then
+		// shifting; a little headroom absorbs the next split.
+		out := make([]Maplet, 0, len(mls)-(hi-lo)+len(mid)+2)
+		out = append(out, mls[:lo]...)
+		out = append(out, mid...)
+		m.maplets = append(out, mls[hi:]...)
+		m.cow = false
 		return
 	}
-	cur, next := m.maplets[k], m.maplets[k+1]
-	if cur.end() == next.VA && cur.Target.continues(cur.NrPages, next.Target) {
-		m.maplets[k].NrPages += next.NrPages
-		m.maplets = append(m.maplets[:k+1], m.maplets[k+2:]...)
-	}
+	m.maplets = slices.Replace(mls, lo, hi, mid...)
 }
 
 // EqualMappings reports extensional equality. Because both sides are

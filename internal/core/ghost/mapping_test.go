@@ -160,12 +160,30 @@ func TestDiffMappings(t *testing.T) {
 
 // Property: an arbitrary interleaving of Set/Remove leaves the Mapping
 // extensionally equal to a reference map, and always canonical
-// (sorted, coalesced, non-overlapping).
+// (sorted, coalesced, non-overlapping). Set and Remove edit in place,
+// so the walk also clones the mapping now and then and carries on
+// editing one of the two aliases, picked at random: the other must
+// keep exactly the maplets it had at the clone.
 func TestMappingAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var m Mapping
 	ref := map[uint64]Target{}
 	const span = 64
+
+	var alias Mapping
+	var aliasWant []Maplet
+	checkAlias := func(step int) {
+		t.Helper()
+		got := alias.Maplets()
+		if len(got) != len(aliasWant) {
+			t.Fatalf("step %d: untouched alias changed from %d to %d maplets", step, len(aliasWant), len(got))
+		}
+		for i := range got {
+			if got[i] != aliasWant[i] {
+				t.Fatalf("step %d: untouched alias maplet %d changed: %v -> %v", step, i, aliasWant[i], got[i])
+			}
+		}
+	}
 
 	targets := []Target{
 		Mapped(arch.PhysAddr(page(1000)), rwxN),
@@ -173,7 +191,16 @@ func TestMappingAgainstReferenceModel(t *testing.T) {
 		Annotated(1),
 		Annotated(7),
 	}
+	clones := 0
 	for step := 0; step < 5000; step++ {
+		if rng.Intn(16) == 0 {
+			alias = m.Clone()
+			if rng.Intn(2) == 0 {
+				m, alias = alias, m // edit the clone, keep the original
+			}
+			aliasWant = append(aliasWant[:0], alias.Maplets()...)
+			clones++
+		}
 		va := page(uint64(rng.Intn(span)))
 		nr := uint64(rng.Intn(4) + 1)
 		if rng.Intn(3) == 0 {
@@ -189,6 +216,10 @@ func TestMappingAgainstReferenceModel(t *testing.T) {
 			}
 		}
 		checkCanonical(t, m)
+		checkAlias(step)
+	}
+	if clones == 0 {
+		t.Fatal("walk took no clone")
 	}
 	for p := uint64(0); p < span+8; p++ {
 		got, ok := m.Lookup(page(p))

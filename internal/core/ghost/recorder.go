@@ -456,7 +456,9 @@ func (r *Recorder) checkTLB(cpu int, c hyp.Component) {
 //
 //ghost:requires lock=dynamic
 func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline bool) *State {
-	snap := NewState()
+	// The session snapshot holds one component and no locals, so it
+	// gets only the map the guest case fills.
+	snap := &State{}
 	switch c.Kind {
 	case hyp.CompHost:
 		host, hostFP, herr := r.abstractHost()
@@ -531,7 +533,7 @@ func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline b
 
 	case hyp.CompGuest:
 		g := r.abstractGuest(c.Handle)
-		snap.Guests[c.Handle] = &GuestPgt{Present: true, PGT: g.PGT.Clone()}
+		snap.Guests = map[hyp.Handle]*GuestPgt{c.Handle: {Present: true, PGT: g.PGT.Clone()}}
 		r.mu.Lock()
 		if checkBaseline {
 			if base, ok := r.shared.Guests[c.Handle]; ok && base.Present &&
@@ -566,22 +568,23 @@ func (r *Recorder) recordComponent(into *State, c hyp.Component, checkBaseline b
 // Every violated pair is reported in one alarm: an earlier version kept
 // only the last formatted detail, silently overwriting earlier pairs,
 // which hid concurrent overlaps when three or more tables collided.
+//
+// The check runs at every lock release, so the clean path allocates
+// nothing: the footprint list lives on the stack for the usual handful
+// of tables, and guest names are only rendered for a violation.
 func (r *Recorder) checkSeparation() {
+	var buf [8]footprint
+	fps := buf[:0]
 	r.mu.Lock()
-	type fp struct {
-		name string
-		set  PageSet
-	}
-	var fps []fp
 	if r.shared.Pkvm.Present {
-		fps = append(fps, fp{"pkvm", r.shared.Pkvm.PGT.Footprint})
+		fps = append(fps, footprint{name: "pkvm", set: r.shared.Pkvm.PGT.Footprint})
 	}
 	if r.shared.Host.Present {
-		fps = append(fps, fp{"host", r.hostFootprint})
+		fps = append(fps, footprint{name: "host", set: r.hostFootprint})
 	}
 	for h, g := range r.shared.Guests {
 		if g.Present {
-			fps = append(fps, fp{h.String(), g.PGT.Footprint})
+			fps = append(fps, footprint{guest: h, set: g.PGT.Footprint})
 		}
 	}
 	g := r.shared.Globals
@@ -594,13 +597,13 @@ func (r *Recorder) checkSeparation() {
 		for j := i + 1; j < len(fps); j++ {
 			if pfn, ok := fps[i].set.FirstOverlap(fps[j].set); ok {
 				details = append(details, fmt.Sprintf("footprints of %s and %s overlap at frame %#x",
-					fps[i].name, fps[j].name, uint64(pfn)))
+					fps[i], fps[j], uint64(pfn)))
 			}
 		}
-		if fps[i].name == "pkvm" || fps[i].name == "host" {
+		if fps[i].name != "" { // the host and hyp tables live in the carve-out
 			if pfn, ok := fps[i].set.FirstOutside(carveStart, carveEnd); ok {
 				details = append(details, fmt.Sprintf("%s table frame %#x outside the carve-out",
-					fps[i].name, uint64(pfn)))
+					fps[i], uint64(pfn)))
 			}
 		}
 	}
@@ -608,6 +611,21 @@ func (r *Recorder) checkSeparation() {
 		sort.Strings(details)
 		r.fail(Failure{Kind: FailSeparation, Detail: strings.Join(details, "\n")})
 	}
+}
+
+// footprint is one page table's frames as the separation check sees
+// them: the hyp or host table by name, or a guest's by handle.
+type footprint struct {
+	name  string
+	guest hyp.Handle
+	set   PageSet
+}
+
+func (f footprint) String() string {
+	if f.name != "" {
+		return f.name
+	}
+	return f.guest.String()
 }
 
 // ReadOnce records a nondeterministic host-memory read (§4.3).

@@ -23,9 +23,10 @@ var (
 
 	// Abstraction-cache traffic: hits returned the stored abstraction
 	// untouched, misses re-walked the whole tree (cold cache or root
-	// change/write), partial walks re-interpreted only dirty subtrees.
-	// The pages counter totals table pages actually re-read — the
-	// denominator for how much work the cache avoided.
+	// change/write), partial walks patched changed leaf entries and
+	// re-interpreted only subtrees whose table descriptors changed.
+	// The pages counter totals table pages walked — the denominator
+	// for how much work the cache avoided.
 	ghostCacheHits    = telemetry.NewCounter("ghost_cache_hits_total")
 	ghostCacheMisses  = telemetry.NewCounter("ghost_cache_misses_total")
 	ghostCachePartial = telemetry.NewCounter("ghost_cache_partial_walks_total")

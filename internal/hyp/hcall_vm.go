@@ -142,11 +142,9 @@ func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
 
 	hv.lockGuest(cpu, vm)
 	// Guest-owned data pages: everything the guest stage 2 maps.
-	for _, pfn := range guestMappedFrames(vm) {
-		hv.reclaimable[pfn] = true
-	}
+	freed := guestMappedFrames(vm)
 	// The table pages themselves (donation- and memcache-sourced).
-	collect := collectAllocator{set: hv.reclaimable}
+	collect := collectAllocator{freed: &freed}
 	vm.PGT.Alloc = collect
 	vm.PGT.Destroy()
 	vm.PGT = nil
@@ -158,13 +156,10 @@ func (hv *Hypervisor) teardownVM(cpu int, handle Handle) Errno {
 	hv.unlockGuest(cpu, vm)
 
 	for _, vcpu := range vm.VCPUs {
-		for _, pfn := range vcpu.MC.Drain() {
-			hv.reclaimable[pfn] = true
-		}
+		freed = append(freed, vcpu.MC.Drain()...)
 	}
-	for _, pfn := range vm.donated {
-		hv.reclaimable[pfn] = true
-	}
+	freed = append(freed, vm.donated...)
+	hv.addReclaimable(freed)
 	vm.donated = nil
 	vm.State = VMTeardown
 	hv.vms[handle.slot(MaxVMs)] = nil

@@ -141,9 +141,10 @@ type Hypervisor struct {
 	//ghost:guards lock=vms
 	vms [MaxVMs]*VM
 	// reclaimable is the set of frames from torn-down VMs awaiting
-	// host_reclaim_page; protected by vmsLock.
+	// host_reclaim_page, kept sorted and duplicate-free so the ghost
+	// abstraction reads it as is; protected by vmsLock.
 	//ghost:guards lock=vms
-	reclaimable map[arch.PFN]bool
+	reclaimable []arch.PFN
 
 	percpu []*PerCPU
 
@@ -188,16 +189,15 @@ func New(cfg Config) (*Hypervisor, error) {
 	}
 
 	hv := &Hypervisor{
-		Mem:         m,
-		CPUs:        arch.NewCPUs(cfg.NrCPUs),
-		Inj:         cfg.Inj,
-		HypPool:     mem.NewPool("hyp", arch.PhysToPFN(carveStart), cfg.HypPoolPages),
-		reclaimable: make(map[arch.PFN]bool),
-		percpu:      make([]*PerCPU, cfg.NrCPUs),
-		instr:       nopInstr{},
-		flight:      telemetry.NewFlightRecorder(cfg.NrCPUs, telemetry.DefaultFlightDepth),
-		tracer:      cfg.Tracer,
-		traceLane:   cfg.TraceLane,
+		Mem:       m,
+		CPUs:      arch.NewCPUs(cfg.NrCPUs),
+		Inj:       cfg.Inj,
+		HypPool:   mem.NewPool("hyp", arch.PhysToPFN(carveStart), cfg.HypPoolPages),
+		percpu:    make([]*PerCPU, cfg.NrCPUs),
+		instr:     nopInstr{},
+		flight:    telemetry.NewFlightRecorder(cfg.NrCPUs, telemetry.DefaultFlightDepth),
+		tracer:    cfg.Tracer,
+		traceLane: cfg.TraceLane,
 	}
 	for i := range hv.percpu {
 		hv.percpu[i] = &PerCPU{LoadedVCPU: -1}
@@ -392,19 +392,27 @@ func (hv *Hypervisor) VMSnapshot(slot int) *VM {
 	return hv.vms[slot]
 }
 
-// ReclaimablePFNs reports the reclaim set as a sorted slice; the
-// ghost abstraction of the VM table folds it into a run-encoded page
-// set, and ascending order keeps that fold allocation-free. Caller
-// must be under the vms lock (see VMSnapshot).
+// ReclaimablePFNs reports the reclaim set, ascending and
+// duplicate-free; the ghost abstraction of the VM table folds it into
+// a run-encoded page set, and ascending order keeps that fold on its
+// append path. The slice is the set itself, not a copy: callers must
+// not modify it, and it is valid only while the caller holds the vms
+// lock (see VMSnapshot).
 //
 //ghost:requires lock=vms
 func (hv *Hypervisor) ReclaimablePFNs() []arch.PFN {
-	out := make([]arch.PFN, 0, len(hv.reclaimable))
-	for k := range hv.reclaimable {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
+	return hv.reclaimable
+}
+
+// addReclaimable merges frames into the reclaim set, keeping it sorted
+// and duplicate-free. Teardown adds a VM's frames in one call, so the
+// set is re-sorted once per teardown rather than at every read.
+//
+//ghost:requires lock=vms
+func (hv *Hypervisor) addReclaimable(pfns []arch.PFN) {
+	hv.reclaimable = append(hv.reclaimable, pfns...)
+	slices.Sort(hv.reclaimable)
+	hv.reclaimable = slices.Compact(hv.reclaimable)
 }
 
 // PerCPUState exposes the physical CPU's hypervisor-local state to the
