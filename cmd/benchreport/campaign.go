@@ -19,8 +19,8 @@ import (
 // execution model, kept as the ablation baseline). The throughputs
 // land in a JSON artifact.
 //
-// Gates make this a regression test rather than a report (the fleet
-// leg adds its own, see fleet.go; campaignVerdict judges them all):
+// Gates make this a regression test rather than a report
+// (campaignVerdict judges them):
 //
 //   - the snapshot speedup (serial snap-on / serial snap-off) must
 //     clear snapshotSpeedupFloor, or Pass=false and the run exits
@@ -105,10 +105,6 @@ type campaignBenchReport struct {
 	SpeedupSkippedReason string  `json:"speedup_skipped_reason,omitempty"`
 	SnapshotSpeedup      float64 `json:"snapshot_speedup"`
 	SpeedupFloor         float64 `json:"snapshot_speedup_floor"`
-	// Fleet is the distributed-campaign leg: coordinator + N workers
-	// over loopback HTTP, gated on coordination overhead and dedup
-	// accounting.
-	Fleet *fleetBench `json:"fleet,omitempty"`
 	// Pass is campaignVerdict's: true when no gate fails.
 	Pass bool `json:"pass"`
 }
@@ -206,9 +202,6 @@ func runCampaignBench(path string, execs int64) error {
 	fmt.Printf("  snapshot speedup (serial on/off): %.2fx (floor %.2fx)\n",
 		report.SnapshotSpeedup, snapshotSpeedupFloor)
 
-	if report.Fleet, err = runFleetBench(execs); err != nil {
-		return err
-	}
 	violations := campaignVerdict(&report)
 	report.Pass = len(violations) == 0
 
@@ -228,27 +221,13 @@ func runCampaignBench(path string, execs int64) error {
 }
 
 // campaignVerdict lists every gate the report fails; none means it
-// passes. The gates: the snapshot speedup clears snapshotSpeedupFloor,
-// the fleet's coordination efficiency clears fleetEfficiencyFloor, and
-// the dedup demo both found something and accounts for every report
-// (reported = unique + duplicate).
+// passes. The one gate: the snapshot speedup clears
+// snapshotSpeedupFloor.
 func campaignVerdict(r *campaignBenchReport) []string {
 	var v []string
 	if r.SnapshotSpeedup < snapshotSpeedupFloor {
 		v = append(v, fmt.Sprintf("snapshot speedup %.2fx below floor %.2fx",
 			r.SnapshotSpeedup, snapshotSpeedupFloor))
-	}
-	f := r.Fleet
-	if f.CoordinationEfficiency < fleetEfficiencyFloor {
-		v = append(v, fmt.Sprintf("coordination efficiency %.2f below floor %.2f",
-			f.CoordinationEfficiency, fleetEfficiencyFloor))
-	}
-	if f.Dedup.FindingsUnique == 0 {
-		v = append(v, fmt.Sprintf("dedup demo found nothing with %s injected", f.DedupBug))
-	}
-	if int64(f.Dedup.FindingsUnique)+f.Dedup.FindingsDuplicate != f.Dedup.FindingsReported {
-		v = append(v, fmt.Sprintf("dedup accounting broken: %d unique + %d duplicate != %d reported",
-			f.Dedup.FindingsUnique, f.Dedup.FindingsDuplicate, f.Dedup.FindingsReported))
 	}
 	return v
 }

@@ -5,7 +5,7 @@
 //	benchreport                        # all experiments
 //	benchreport -exp E4                # one experiment
 //	benchreport -telemetry snap.json   # summarise a pkvm-sim -metrics dump
-//	benchreport -campaign out.json     # snapshot and fleet ablations -> JSON artifact + gates
+//	benchreport -campaign out.json     # snapshot ablation -> JSON artifact + gates
 //
 // The oracle-on vs oracle-off cost at campaign op mix, the per-group
 // self time and the span attribution are perfbench's (see
@@ -36,7 +36,7 @@ func main() {
 	randSteps := flag.Int("rand-steps", 20000, "random-campaign steps for E3")
 	reps := flag.Int("reps", 5, "timing repetitions for E7")
 	telemetryFile := flag.String("telemetry", "", "telemetry snapshot JSON (from pkvm-sim -metrics json) to summarise")
-	campaignBench := flag.String("campaign", "", "benchmark the campaign engine (serial and 8 workers with snapshots, serial without) and write results to this JSON file; fails on speedup-floor, fleet-efficiency, dedup or conformance regressions")
+	campaignBench := flag.String("campaign", "", "benchmark the campaign engine (serial and 8 workers with snapshots, serial without, 2 workers schedule-fuzzing) and write results to this JSON file; fails on a speedup-floor or conformance regression or a clean-build finding")
 	campaignExecs := flag.Int64("campaign-execs", 256, "executions per campaign benchmark leg")
 	flag.Parse()
 

@@ -7,8 +7,6 @@
 //	ghost-fuzz -bug unshare-leave-mapping    # fuzz a buggy build, get a minimized repro
 //	ghost-fuzz -matrix                       # full faults.All() detection matrix
 //	ghost-fuzz -workers 1 -seed 7 -execs 50  # deterministic single-shard run
-//	ghost-fuzz -serve :7070                  # fleet coordinator (see fleet.go)
-//	ghost-fuzz -worker http://host:7070      # fleet worker
 //
 // Exit status is non-zero when a fuzz run produces findings or a
 // matrix run leaves a non-skip-listed bug undetected — on a fixed
@@ -53,11 +51,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-finding progress lines")
 	httpAddr := flag.String("http", "", "serve live introspection on this address (/metrics, /debug/pprof/, /spans, /campaign)")
 	traceOut := flag.String("trace-out", "", "write the campaign's span dump as Chrome trace-event JSON to this file")
-	serveAddr := flag.String("serve", "", "fleet coordinator mode: serve the fleet API on this address")
-	workerAddr := flag.String("worker", "", "fleet worker mode: join the coordinator at this base URL")
-	shards := flag.Int("shards", 0, "fleet: seed-stream shard count (default 4)")
-	roundExecs := flag.Int64("round-execs", 0, "fleet: executions per shard round (default 512)")
-	lease := flag.Duration("lease", 0, "fleet: worker heartbeat lease before shard reassignment (default 10s)")
 	flag.Parse()
 
 	if *rankCheck {
@@ -68,6 +61,12 @@ func main() {
 		defer spinlock.DisableRankCheck()
 	}
 
+	// The repro line prints -steps as given, so it must be the length
+	// the engine ran, not a value the engine replaced with its default.
+	if *steps < 1 {
+		fmt.Fprintln(os.Stderr, "-steps must be at least 1")
+		os.Exit(2)
+	}
 	bugs, err := parseBugs(*bugFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -94,17 +93,6 @@ func main() {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}
-	}
-
-	if *serveAddr != "" && *workerAddr != "" {
-		fmt.Fprintln(os.Stderr, "-serve and -worker are mutually exclusive")
-		os.Exit(2)
-	}
-	if *serveAddr != "" {
-		os.Exit(runServe(*serveAddr, cfg, *shards, *roundExecs, *lease, cfg.Duration))
-	}
-	if *workerAddr != "" {
-		os.Exit(runWorker(*workerAddr, cfg, *httpAddr, *traceOut))
 	}
 
 	if *matrix {
@@ -225,20 +213,36 @@ func runFuzz(cfg campaign.Config, httpAddr, traceOut string) int {
 			fmt.Printf("  flight recorder (%d trap events on failing CPU; newest is the failure)\n",
 				len(f.Failures[0].History))
 		}
-		switch {
-		case f.FromCorpus && f.Sched != nil:
-			fmt.Printf("  repro: replay the minimized (trace, schedule) pair on a %d-vCPU boot\n", cfg.NrCPUs)
-		case f.FromCorpus:
-			fmt.Printf("  repro: replay the minimized trace (run extended a corpus seed)\n")
-		case f.Sched != nil:
-			fmt.Printf("  repro: ghost-fuzz -workers 1 -seed %d -steps %d -cpus %d -sched-fuzz%s (schedule re-derived from the seed)\n",
-				f.Seed, cfg.StepsPerRun, cfg.NrCPUs, bugArgs(cfg.Bugs))
-		default:
-			fmt.Printf("  repro: ghost-fuzz -workers 1 -seed %d -steps %d%s\n",
-				f.Seed, cfg.StepsPerRun, bugArgs(cfg.Bugs))
-		}
+		fmt.Printf("  repro: %s\n", reproLine(cfg, f))
 	}
 	return 1
+}
+
+// reproLine says how to rerun a finding's run. f.Seed is the run seed
+// the worker drew, not a campaign seed: ghost-fuzz -seed with it would
+// start a different campaign. A run that extended no corpus parent is
+// fully determined by its run seed, so when cmd/randtest boots the
+// same system (4 vCPUs, default memory, at most one bug) the line is
+// the randtest command that regenerates the run's exact trace. Any
+// other run is located in its campaign instead.
+func reproLine(cfg campaign.Config, f campaign.Finding) string {
+	switch {
+	case f.FromCorpus && f.Sched != nil:
+		return fmt.Sprintf("replay the minimized (trace, schedule) pair on a %d-vCPU boot", cfg.NrCPUs)
+	case f.FromCorpus:
+		return "replay the minimized trace (run extended a corpus seed)"
+	case f.Sched == nil && cfg.NrCPUs == 4 && !cfg.BigMemory && len(cfg.Bugs) <= 1:
+		line := fmt.Sprintf("randtest -seed %d -steps %d%s", f.Seed, cfg.StepsPerRun, bugArgs(cfg.Bugs))
+		if cfg.Unguided {
+			line += " -guided=false"
+		}
+		return line
+	}
+	where := fmt.Sprintf("campaign seed %d, worker %d, exec %d, run seed %d", cfg.Seed, f.Worker, f.Exec, f.Seed)
+	if f.Sched != nil {
+		where += fmt.Sprintf(", sched-seed %d on %d vCPUs", f.SchedSeed, cfg.NrCPUs)
+	}
+	return where + "; no single command replays this run"
 }
 
 // spansPerStep bounds the spans one generator step records: the trap,

@@ -109,13 +109,11 @@ type Config struct {
 	// Logf, when set, receives progress lines (findings, stop cause).
 	Logf func(format string, args ...any)
 	// OnFinding, when set, is called once per recorded finding, after
-	// minimization, from the finding worker's goroutine. The fleet
-	// worker uses it to stream findings to the coordinator; keep it
-	// cheap (enqueue, don't block) — it runs on the exec path.
+	// minimization, from the finding worker's goroutine. Keep it cheap
+	// (record, don't block): it runs on the exec path.
 	OnFinding func(Finding)
-	// OnCorpus, when set, is called when a run's trace enters the
-	// corpus through local novelty (not for entries injected with
-	// InjectSeed, so fleet corpus sync cannot echo). Same cheapness
+	// OnCorpus, when set, is called when a novel run's non-empty trace
+	// enters the corpus, with the score it entered at. Same cheapness
 	// contract as OnFinding.
 	OnCorpus func(tr *randtest.Trace, score float64)
 	// Tracer, when set, receives execution spans: worker w records on
@@ -394,30 +392,6 @@ func (e *Engine) Wait() (*Report, error) {
 	return rep, nil
 }
 
-// Stop requests an early campaign stop: workers finish their current
-// execution and exit their loops. Wait still collects the report. The
-// fleet worker calls this on shard reassignment and shutdown.
-func (e *Engine) Stop() {
-	e.stop.Store(true)
-}
-
-// CoverageDelta exports the campaign's merged coverage aggregate in
-// wire form — the cumulative per-worker payload of fleet reports.
-func (e *Engine) CoverageDelta() coverage.Delta {
-	return e.agg.Export()
-}
-
-// InjectSeed adds a foreign trace (a peer worker's novel corpus entry,
-// arrived via fleet corpus sync) to the corpus. It carries no end-state
-// snapshot, so the first local extension replays it and captures one;
-// OnCorpus deliberately does not fire for injected entries.
-func (e *Engine) InjectSeed(tr *randtest.Trace, score float64) {
-	if tr.Len() == 0 || score <= 0 {
-		return
-	}
-	e.corpus.add(tr, score, nil)
-}
-
 // recordFinding appends a finding (both the serial and the
 // schedule-fuzz paths land here), honours MaxFindings, and notifies
 // the OnFinding hook outside the engine lock.
@@ -626,11 +600,6 @@ func (e *Engine) runOne(w int, in input, ws *worksys) {
 			if ws != nil {
 				e.workers[w].snapFallbacks.Add(1)
 				telSnapFallback.Inc()
-				// The state just rebuilt is exactly the parent's end
-				// state — capture it once so later forks of this entry
-				// (fleet-injected seeds arrive snapshot-less) restore
-				// instead of replaying.
-				e.corpus.backfill(in.parent, e.captureParent(w, ws))
 			}
 		}
 	}

@@ -54,30 +54,6 @@ func (c *corpus) add(tr *randtest.Trace, score float64, snap *parentSnap) {
 	telCorpusSize.Set(int64(len(c.entries)))
 }
 
-// backfill attaches an end-state snapshot to a snapshot-less entry
-// (matched by trace identity). Injected seeds arrive without one; the
-// first fork of such an entry pays the full replay, captures the state
-// it just rebuilt, and hands it here so every later fork restores
-// instead. Racing workers may both replay and capture — the first
-// capture wins, the loser's is dropped. A miss (entry evicted since
-// the pick) is fine: the snapshot just dies with it.
-func (c *corpus) backfill(tr *randtest.Trace, snap *parentSnap) {
-	if snap == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.entries {
-		if c.entries[i].trace == tr {
-			if c.entries[i].snap == nil {
-				c.entries[i].snap = snap
-				telSnapBackfill.Inc()
-			}
-			return
-		}
-	}
-}
-
 // pick draws an entry with probability proportional to its score.
 // The caller supplies its own rng so per-worker determinism holds.
 func (c *corpus) pick(rng *rand.Rand) (*randtest.Trace, *parentSnap, bool) {

@@ -31,9 +31,4 @@ var (
 	telSnapRestores = telemetry.NewCounter("snapshot_restores")
 	telSnapDirty    = telemetry.NewCounter("snapshot_dirty_frames")
 	telSnapFallback = telemetry.NewCounter("snapshot_fallback_full")
-	// telSnapBackfill counts end-state snapshots captured for corpus
-	// entries that arrived without one (fleet-injected seeds): each
-	// backfill turns every future fork of that entry from a full replay
-	// into a snapshot restore.
-	telSnapBackfill = telemetry.NewCounter("snapshot_backfills")
 )
