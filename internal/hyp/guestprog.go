@@ -92,10 +92,22 @@ func (hv *Hypervisor) LoadGuestProgram(handle Handle, idx int, prog []Insn) bool
 	hv.vmsLock.Lock()
 	defer hv.vmsLock.Unlock()
 	vm := hv.lookupVM(handle)
-	if vm == nil || idx < 0 || idx >= vm.NrVCPUs {
+	if vm == nil || idx < 0 || idx >= vm.NrVCPUs || !registersInRange(prog) {
 		return false
 	}
 	vm.VCPUs[idx].Program = append([]Insn(nil), prog...)
+	return true
+}
+
+// registersInRange reports whether every instruction of prog names
+// registers inside the register file. runProgram indexes the file with
+// Dst and Src unchecked, so LoadGuestProgram refuses any other program.
+func registersInRange(prog []Insn) bool {
+	for _, in := range prog {
+		if in.Dst < 0 || in.Dst >= arch.NumGPRs || in.Src < 0 || in.Src >= arch.NumGPRs {
+			return false
+		}
+	}
 	return true
 }
 
